@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
               snapshots);
   auto report = core::run_insitu(cfg);
   std::printf("simulated %.1f s of shaking in %.2f s of solver time; "
-              "%d frames -> %s/insitu_****.ppm\n",
+              "%d frames -> %s/frame_****.ppm\n",
               report.sim_time_reached, report.sim_seconds, report.snapshots,
               out.c_str());
   if (report.frame_seconds.size() >= 2) {

@@ -11,7 +11,6 @@
 #include "octree/blocks.hpp"
 #include "render/raycast.hpp"
 #include "stream/server.hpp"
-#include "stream/session.hpp"
 #include "vmpi/fault.hpp"
 
 namespace qv::core {
@@ -46,9 +45,8 @@ enum class Colormap {
 // the (step, epoch) frame id with no runtime broadcast. The view epoch IS
 // the newest applied request id; each fold invalidates the delivery delta
 // chains (stream apply_view_change), so the first frame a client sees after
-// an edit is a keyframe. Exclusive with rebalance-driven epochs and with
-// the content-addressed frame cache (an edit changes pixels the cache
-// identity cannot see) — run_pipeline rejects both combinations.
+// an edit is a keyframe. Exclusive with rebalance-driven epochs (both own
+// the epoch field) — run_pipeline rejects the combination.
 struct SteeringConfig {
   bool enabled = false;
   std::uint64_t seed = 1;  // generated-trace seed (used when path empty)
@@ -108,16 +106,11 @@ struct PipelineConfig {
   int num_steps = -1;          // -1: every step in the dataset
   std::string output_dir;      // when set, the output proc writes PPM frames
 
-  // Remote frame delivery: when stream.enabled, the output processor also
-  // encodes every finished frame and ships it over the simulated WAN link
-  // (delta coding + backpressure-driven degradation; see src/stream).
-  stream::StreamConfig stream;
-
-  // Multi-viewer fan-out: when serve.enabled, the output processor runs a
+  // Remote frame delivery: when serve.enabled, the output processor runs a
   // DeliveryServer and every finished frame is offered to serve.count
-  // simulated clients (shared encoding, per-client links and budgets; see
-  // src/stream/server.hpp). Independent of — and composable with — the
-  // single-session `stream` path above.
+  // simulated clients over simulated WAN links (delta coding, per-client
+  // backpressure-driven degradation and byte budgets, shared encoding; see
+  // src/stream/server.hpp). A point-to-point stream is a one-client fleet.
   stream::ServeFleetConfig serve;
 
   // Interactive steering over the run (see SteeringConfig above).

@@ -4,11 +4,11 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "compositing/slic.hpp"
 #include "core/frame_msg.hpp"
+#include "core/output_stage.hpp"
 #include "trace/trace.hpp"
 #include "io/block_index.hpp"
 #include "io/preprocess.hpp"
@@ -261,90 +261,27 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const InsituConfig& cfg = sh.cfg;
-  WallTimer clock;
-  std::vector<double> frame_seconds;
-  std::optional<stream::StreamSession> session;
-  if (cfg.stream.enabled)
-    session.emplace(cfg.stream, cfg.width, cfg.height);
-  std::optional<stream::DeliveryServer> server;
-  if (cfg.serve.enabled && cfg.serve.count > 0) {
-    stream::ServerConfig scfg = cfg.serve.server;
-    if (cfg.serve.cache_bytes > 0) {
-      scfg.cache = std::make_shared<stream::FrameCache>(
-          stream::CacheConfig{cfg.serve.cache_bytes});
-      // Identity trust contract (stream/cache.hpp): in-situ frames are
-      // determined by the synthetic source + solver setup and the view.
-      scfg.identity.dataset_id =
-          "insitu:" + std::to_string(cfg.source.peak_freq_hz) + ":" +
-          std::to_string(cfg.source.amplitude) + ":" +
-          std::to_string(cfg.steps_per_snapshot) + ":" +
-          std::to_string(cfg.sim_procs);
-      scfg.identity.camera_hash = stream::hash64(
-          std::to_string(cfg.width) + "x" + std::to_string(cfg.height) +
-          ":orbit=" + std::to_string(cfg.orbit_deg_per_step) +
-          ":var=" + std::to_string(int(cfg.variable)));
-      scfg.identity.tf_hash = stream::hash64(
-          "cm=" + std::to_string(int(cfg.colormap)) +
-          ":lo=" + std::to_string(cfg.render.value_lo) +
-          ":hi=" + std::to_string(cfg.render.value_hi) +
-          ":light=" + std::to_string(cfg.render.lighting ? 1 : 0));
-    }
-    server.emplace(scfg, cfg.width, cfg.height);
-    for (const auto& lc : stream::make_fleet(cfg.serve)) server->join(0.0, lc);
-  }
-  int last_epoch = 0;
+  OutputStage out(cfg.width, cfg.height, cfg.output_dir, cfg.serve,
+                  cfg.steer.enabled, world.rank());
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
     std::vector<std::uint8_t> msg;
     {
       trace::Span wait_span("pipeline", "wait_frame", snap);
       world.recv(vmpi::kAnySource, tag_frame(snap), msg);
     }
-    trace::Span frame_span("pipeline", "frame", snap);
-    const std::int64_t frame_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    const std::uint32_t epoch = st.epoch_of(cfg, snap);
-    if (int(epoch) != last_epoch) {
-      // Steering epoch: stamp the new frame id AND reset every delta chain
-      // (first post-edit frame per client is a keyframe); per-client
-      // controller state survives — an edit is not a network event.
-      if (session) session->apply_view_change(epoch);
-      if (server) server->apply_view_change(epoch);
-      if (obs::lineage::enabled()) {
-        obs::lineage::record_wall(obs::lineage::Stage::kSteerApply, snap,
-                                  epoch, obs::lineage::ChannelKind::kRank,
-                                  world.rank());
-      }
-      last_epoch = int(epoch);
-    }
+    const OutputStage::Frame scope(snap);
     img::Image frame(cfg.width, cfg.height);
     auto view = parse_frame_msg(msg, frame.pixels().size());
     if (!view) throw std::runtime_error("insitu: bad frame message");
     std::memcpy(frame.pixels().data(), view->pixels.data(),
                 view->pixels.size_bytes());
-    frame_seconds.push_back(clock.seconds());
-    if (!cfg.output_dir.empty() || session || server) {
-      img::Image8 out8 = img::to_8bit(frame, {0.02f, 0.02f, 0.05f});
-      if (!cfg.output_dir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "/insitu_%04d.ppm", snap);
-        img::write_ppm(cfg.output_dir + name, out8);
-      }
-      if (session) session->submit(clock.seconds(), snap, out8);
-      if (server) server->submit(clock.seconds(), snap, out8);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kFrame, snap, epoch,
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - frame_t0) * 1e-9);
-    }
+    out.emit(scope, st.epoch_of(cfg, snap), frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   std::lock_guard lk(sh.mu);
-  sh.report.frame_seconds = std::move(frame_seconds);
+  sh.report.frame_seconds = out.frame_seconds();
   sh.report.snapshots = cfg.snapshots;
-  if (session) sh.report.stream = session->finish();
-  if (server) sh.report.server = server->finish();
+  sh.report.server = out.finish();
 }
 
 }  // namespace
@@ -363,10 +300,6 @@ InsituReport run_insitu(const InsituConfig& config,
   if (config.render_procs < 1 || config.snapshots < 1 ||
       config.sim_procs < 1)
     throw std::runtime_error("insitu: bad configuration");
-  if (config.steer.enabled && config.serve.cache_bytes > 0)
-    throw std::runtime_error(
-        "insitu: steering edits change pixels outside the frame-cache "
-        "identity (camera/TF move mid-run); disable --cache-bytes");
   Shared sh{config, frames_out, {}, {}};
 
   vmpi::Runtime::run(config.world_size(), [&sh, &config](vmpi::Comm& world) {

@@ -47,16 +47,12 @@ struct InsituConfig {
   float orbit_deg_per_step = 0.0f;
   std::string output_dir;  // when set, frames are written as PPM
 
-  // Remote frame delivery over the simulated WAN (see src/stream) — the
-  // "monitor the simulation from afar" half of the paper's §7 goal.
-  stream::StreamConfig stream;
-
-  // Multi-viewer fan-out (see PipelineConfig::serve).
+  // Remote frame delivery to simulated viewers (see PipelineConfig::serve)
+  // — the "monitor the simulation from afar" half of the paper's §7 goal.
   stream::ServeFleetConfig serve;
 
   // Interactive steering over the monitored run (same semantics as
-  // PipelineConfig::steer; snapshots take the role of steps). Exclusive
-  // with the frame cache for the same identity reason.
+  // PipelineConfig::steer; snapshots take the role of steps).
   SteeringConfig steer;
 
   int world_size() const { return sim_procs + render_procs + 1; }
@@ -68,10 +64,7 @@ struct InsituReport {
   double sim_time_reached = 0.0;      // simulated seconds at the last frame
   int snapshots = 0;
 
-  // Remote frame delivery (all zero unless config.stream.enabled).
-  stream::StreamReport stream;
-
-  // Multi-viewer fan-out (empty unless config.serve.enabled).
+  // Remote frame delivery (empty unless config.serve.enabled).
   stream::ServerReport server;
 };
 

@@ -15,6 +15,7 @@
 #include "compositing/slic.hpp"
 #include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
+#include "core/output_stage.hpp"
 #include "img/image.hpp"
 #include "io/block_index.hpp"
 #include "io/codec.hpp"
@@ -1198,77 +1199,17 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const PipelineConfig& cfg = sh.config;
-  WallTimer clock;
-  std::vector<double> frame_seconds;
+  OutputStage out(cfg.width, cfg.height, cfg.output_dir, cfg.serve,
+                  cfg.steer.enabled, world.rank());
   std::vector<int> degraded_steps;
   std::vector<float> last_gray;  // LIC texture frame-repeat buffer
-  std::optional<stream::StreamSession> session;
-  if (cfg.stream.enabled)
-    session.emplace(cfg.stream, cfg.width, cfg.height);
-  std::optional<stream::DeliveryServer> server;
-  if (cfg.serve.enabled && cfg.serve.count > 0) {
-    stream::ServerConfig scfg = cfg.serve.server;
-    if (cfg.serve.cache_bytes > 0) {
-      scfg.cache = std::make_shared<stream::FrameCache>(
-          stream::CacheConfig{cfg.serve.cache_bytes});
-      // The cache trust contract (stream/cache.hpp): the identity must
-      // cover every run-scoped input that affects the rendered pixels.
-      // render_threads is deliberately absent — intra-rank parallelism is
-      // bit-exact by construction (test_render_determinism pins it).
-      scfg.identity.dataset_id = cfg.dataset_dir;
-      scfg.identity.camera_hash = stream::hash64(
-          std::to_string(cfg.width) + "x" + std::to_string(cfg.height) +
-          ":level=" + std::to_string(cfg.adaptive_level) +
-          ":orbit=" + std::to_string(cfg.orbit_deg_per_step) +
-          ":var=" + std::to_string(int(cfg.variable)) +
-          ":enh=" + std::to_string(cfg.enhancement ? cfg.enhancement_gain
-                                                   : 0.0f) +
-          ":lic=" + std::to_string(cfg.lic_overlay ? cfg.lic_resolution : 0));
-      scfg.identity.tf_hash = stream::hash64(
-          cfg.tf_file + ":cm=" + std::to_string(int(cfg.colormap)) +
-          ":lo=" + std::to_string(cfg.render.value_lo) +
-          ":hi=" + std::to_string(cfg.render.value_hi) +
-          ":light=" + std::to_string(cfg.render.lighting ? 1 : 0) +
-          ":step=" + std::to_string(cfg.render.step_scale) +
-          ":ref=" + std::to_string(cfg.render.ref_length));
-    }
-    server.emplace(scfg, cfg.width, cfg.height);
-    for (const auto& lc : stream::make_fleet(cfg.serve)) server->join(0.0, lc);
-  }
-  int last_epoch = 0;  // encoders start at epoch 0; bump on rebalance
   for (int s = 0; s < st.num_steps; ++s) {
     std::vector<std::uint8_t> msg;
     {
       trace::Span wait_span("pipeline", "wait_frame", s);
       world.recv(vmpi::kAnySource, tag_frame(s), msg);
     }
-    trace::Span frame_span("pipeline", "frame", s);
-    const std::int64_t frame_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    const std::uint32_t epoch = std::uint32_t(st.epoch_of(s));
-    if (int(epoch) != last_epoch) {
-      // (step, epoch) is the end-to-end frame id; the encoders stamp it
-      // into every wire header from here on.
-      if (cfg.steer.enabled) {
-        // A steering epoch means the view changed: invalidate every delta
-        // chain too, so no delta crosses the edit (first post-edit frame
-        // each client sees is a keyframe) — and leave per-client controller
-        // state alone (an edit is not a network event).
-        if (session) session->apply_view_change(epoch);
-        if (server) server->apply_view_change(epoch);
-        if (obs::lineage::enabled()) {
-          // epoch == the newest applied request id: this event records
-          // request_id -> first-serving-step for the flight recorder.
-          obs::lineage::record_wall(obs::lineage::Stage::kSteerApply, s,
-                                    epoch, obs::lineage::ChannelKind::kRank,
-                                    world.rank());
-        }
-      } else {
-        if (session) session->set_epoch(epoch);
-        if (server) server->set_epoch(epoch);
-      }
-      last_epoch = int(epoch);
-    }
+    const OutputStage::Frame scope(s);
     img::Image frame(cfg.width, cfg.height);
     auto view = parse_frame_msg(msg, frame.pixels().size());
     if (!view) throw std::runtime_error("pipeline: bad frame message");
@@ -1294,35 +1235,14 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
         frame = std::move(ground);
       }
     }
-    frame_seconds.push_back(clock.seconds());
-
-    if (!cfg.output_dir.empty() || session || server) {
-      // One tone-mapping for every sink: the streamed frame is bit-identical
-      // to the PPM the output processor writes (the delivery determinism
-      // tests pin this with SHA-256).
-      img::Image8 out8 = img::to_8bit(frame, {0.02f, 0.02f, 0.05f});
-      if (!cfg.output_dir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "/frame_%04d.ppm", s);
-        img::write_ppm(cfg.output_dir + name, out8);
-      }
-      if (session) session->submit(clock.seconds(), s, out8);
-      if (server) server->submit(clock.seconds(), s, out8);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kFrame, s, epoch,
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - frame_t0) * 1e-9);
-    }
+    out.emit(scope, std::uint32_t(st.epoch_of(s)), frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   pipe_counters().degraded_frames.add(degraded_steps.size());
   std::lock_guard lk(sh.mu);
-  sh.report.frame_seconds = std::move(frame_seconds);
+  sh.report.frame_seconds = out.frame_seconds();
   sh.report.degraded_steps = std::move(degraded_steps);
-  if (session) sh.report.stream = session->finish();
-  if (server) sh.report.server = server->finish();
+  sh.report.server = out.finish();
 }
 
 }  // namespace
@@ -1350,16 +1270,10 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
         "pipeline: dynamic load redistribution requires the 1DIP strategy");
   if (config.render_procs < 1 || config.input_procs < 1 || config.groups < 1)
     throw std::runtime_error("pipeline: bad processor counts");
-  if (config.steer.enabled) {
-    if (config.rebalance_every > 0)
-      throw std::runtime_error(
-          "pipeline: steering and dynamic load redistribution both own the "
-          "view-epoch field; enable one or the other");
-    if (config.serve.cache_bytes > 0)
-      throw std::runtime_error(
-          "pipeline: steering edits change pixels outside the frame-cache "
-          "identity (camera/TF move mid-run); disable --cache-bytes");
-  }
+  if (config.steer.enabled && config.rebalance_every > 0)
+    throw std::runtime_error(
+        "pipeline: steering and dynamic load redistribution both own the "
+        "view-epoch field; enable one or the other");
   if (config.fault_plan && config.fault_plan->kill_rank >= 0) {
     // A rank death is only survivable when the victim's peers never enter a
     // collective with it — exactly the 1DIP input side (mirroring what a

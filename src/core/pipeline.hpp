@@ -14,7 +14,9 @@
 //           (SLIC or direct-send) across the render communicator, and send
 //           the finished frame to the output processor.
 //   output: composite the optional LIC ground layer under the volume image,
-//           record interframe delay, optionally write PPM frames.
+//           then hand the frame to the shared output stage
+//           (core/output_stage.hpp): record interframe delay, optionally
+//           write PPM frames and deliver them to simulated viewers.
 //
 // The block decomposition, workload estimation, and block->renderer
 // assignment are computed identically on every rank from the dataset's
@@ -79,10 +81,7 @@ struct PipelineReport {
 
   int steps = 0;
 
-  // Remote frame delivery (all zero unless config.stream.enabled).
-  stream::StreamReport stream;
-
-  // Multi-viewer fan-out (empty unless config.serve.enabled).
+  // Remote frame delivery (empty unless config.serve.enabled).
   stream::ServerReport server;
 };
 

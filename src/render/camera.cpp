@@ -55,13 +55,6 @@ bool Camera::project(Vec3 p, float& sx, float& sy) const {
   return true;
 }
 
-float Camera::projected_pixels(Vec3 p, float world_length) const {
-  float z = (p - eye_).dot(forward_);
-  if (z <= 1e-6f) return 0.0f;
-  // At depth z, the frame spans 2 * z * half_h_ world units vertically.
-  return world_length / (2.0f * z * half_h_) * float(height_);
-}
-
 ScreenRect Camera::footprint(const Box3& box) const {
   float min_x = 1e30f, min_y = 1e30f, max_x = -1e30f, max_y = -1e30f;
   int behind = 0;

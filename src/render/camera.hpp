@@ -55,10 +55,6 @@ class Camera {
   // behind the eye get an empty rect.
   ScreenRect footprint(const Box3& box) const;
 
-  // Approximate on-screen size, in pixels, of a world-space length located
-  // at `p` (used by view-dependent level-of-detail selection).
-  float projected_pixels(Vec3 p, float world_length) const;
-
  private:
   Vec3 eye_, forward_, right_, up_;
   float half_w_ = 1.0f, half_h_ = 1.0f;

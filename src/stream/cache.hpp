@@ -1,15 +1,16 @@
 // Content-addressed cache of encoded wire frames.
 //
 // The delivery server encodes every (step, tier, kind) once per step and
-// fans the bytes out — but across repeated visualization sessions of the
-// SAME run (a scientist scrubbing back to the wavefront arrival, a class of
-// viewers replaying the canonical dataset) the pipeline re-renders and
-// re-encodes frames whose bytes are fully determined by inputs it has
-// already seen. This cache closes that loop: wire frames are stored under a
-// content address — SHA-256 over everything that determines the bytes
-// (dataset id, timestep, camera hash, transfer-function hash, tier, kind) —
-// so a hit serves the stored shared buffer with no encode, and in a replay
-// harness with no render at all.
+// fans the bytes out, so a live run never asks for the same frame twice.
+// Repeated visualization sessions of the SAME run do (a scientist scrubbing
+// back to the wavefront arrival, a class of viewers replaying the canonical
+// dataset): they re-render and re-encode frames whose bytes are fully
+// determined by inputs already seen. This cache closes that loop: wire
+// frames are stored under a content address — SHA-256 over everything that
+// determines the bytes (dataset id, timestep, camera hash,
+// transfer-function hash, tier, kind) — so a hit in the replay harness
+// (stream/replay.hpp) serves the stored shared buffer with no render and no
+// encode.
 //
 // Policy:
 //  * Strict LRU over a byte budget. get() promotes to most-recently-used;
@@ -21,8 +22,7 @@
 //    chain that produced it — caching it across sessions would either
 //    corrupt decoders or demand the cache track chain state. Keyframes are
 //    self-contained, so their bytes depend on nothing but the address
-//    fields. The server enforces this by consulting the cache on its
-//    keyframe path only (see DeliveryServer::submit).
+//    fields. The replayer requests keyframes only.
 //  * The trust contract: the address MUST cover every input that affects
 //    the rendered pixels. Callers build a CacheIdentity from the dataset
 //    and view parameters; two runs that produce the same address are

@@ -144,11 +144,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> FrameEncoderBank::delta(
   return t.delta_wire;
 }
 
-void FrameEncoderBank::note_emitted(int tier) {
-  tier = std::clamp(tier, 0, img::kMaxQuantizeTier);
-  stage(tier).emitted = true;
-}
-
 void FrameEncoderBank::invalidate_chains() {
   for (auto& t : tiers_) {
     t.ref.clear();

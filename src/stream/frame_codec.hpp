@@ -128,14 +128,6 @@ class FrameEncoderBank {
   std::shared_ptr<const std::vector<std::uint8_t>> key(int tier);
   std::shared_ptr<const std::vector<std::uint8_t>> delta(int tier);
 
-  // Record that tier-t wire for the staged step reached clients WITHOUT
-  // this bank encoding it — the delivery path served byte-identical bytes
-  // from the frame cache. Stages the tier's planes (content-addressing
-  // guarantees they match what was served) and marks the tier emitted, so
-  // the delta chain advances exactly as if key()/delta() had packed them
-  // and a later delta(t) still codes against what clients actually hold.
-  void note_emitted(int tier);
-
   // View epoch stamped into every frame header packed from now on (lineage
   // id). Call before begin_step when the view changes; cached wires for the
   // already-staged step keep the epoch they were packed with.

@@ -97,8 +97,7 @@ struct ServerMetrics {
   metrics::Counter& encode_reuses =
       metrics::counter("stream.server.encode_reuses");
   metrics::Gauge& clients = metrics::gauge("stream.server.clients");
-  // Shared with the single-session path: instantaneous queued wire bytes
-  // (here the sum over every connected client).
+  // Instantaneous queued wire bytes, summed over every connected client.
   metrics::Gauge& queue_bytes = metrics::gauge("stream.queue_bytes");
   metrics::Histogram& latency = metrics::histogram(
       "stream.server.latency", metrics::HistogramSpec::duration_seconds());
@@ -127,7 +126,7 @@ WanLinkConfig make_link_config(const ClientLinkConfig& cfg) {
   lc.latency_s = cfg.latency_s;
   lc.fault = cfg.fault;
   // The link clock follows the caller's clock; give pre-scheduled outage
-  // windows a horizon no real run outlives (same policy as StreamSession).
+  // windows a horizon no real run outlives.
   if (lc.fault.active() && lc.fault.horizon_seconds <= 0.0)
     lc.fault.horizon_seconds = 3600.0;
   return lc;
@@ -173,6 +172,7 @@ struct DeliveryServer::Client {
   bool expect_key = true;      // next delivered frame must be a keyframe
   int chain_tier = -1;         // tier of the last frame sent
   int chain_step = -1;         // step of the last frame sent
+  int control_in_flight = 0;   // control wires queued on the link
   double last_progress = 0.0;  // server clock of last queue progress
 };
 
@@ -215,6 +215,7 @@ void DeliveryServer::reconnect(double now, int id,
   c.expect_key = true;
   c.chain_tier = -1;
   c.chain_step = -1;
+  c.control_in_flight = 0;
   c.last_progress = now;
   c.rep.connected = true;
   ++rep_.reconnects;
@@ -252,6 +253,7 @@ void DeliveryServer::send_control(Client& c, double now, ControlKind kind) {
   m.bytes_out.add(wire.size());
   m.control_out.add();
   c.link->send(now, /*step=*/-1, std::move(wire));
+  ++c.control_in_flight;
 }
 
 void DeliveryServer::evict(Client& c, double now) {
@@ -263,6 +265,7 @@ void DeliveryServer::evict(Client& c, double now) {
   send_control(c, now, ControlKind::kEvict);
   c.link->drain();  // let virtual transfers finish; discard the deliveries
   c.link.reset();
+  c.control_in_flight = 0;
   c.connected = false;
   c.rep.connected = false;
   c.rep.evicted = true;
@@ -285,6 +288,7 @@ void DeliveryServer::handle_batch(Client& c,
   auto& m = ServerMetrics::get();
   for (auto& d : delivered) {
     if (is_control_wire(d.wire)) {
+      --c.control_in_flight;
       if (decode_control(d.wire)) {
         ++c.rep.control_delivered;
       } else {
@@ -368,6 +372,8 @@ void DeliveryServer::handle_batch(Client& c,
     c.rep.max_latency_s = std::max(c.rep.max_latency_s, rec.latency_s);
     if (metrics::enabled()) m.latency.observe(rec.latency_s);
     c.rep.deliveries.push_back(rec);
+    if (c.rep.id == 0 && !cfg_.record_path.empty())
+      record_.push_back(std::move(d.wire));
   }
 }
 
@@ -449,40 +455,17 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
   const std::uint64_t encodes_before = bank_.encodes();
   const std::uint64_t reuses_before = bank_.reuses();
 
-  // Cache-aware keyframe fetch, memoized per (step, tier) so the hit/miss
-  // counters are per-frame, not per-client. Keyframes ONLY: a delta is
-  // meaningful only inside this bank's chain (see stream/cache.hpp), so the
-  // delta path below always goes straight to the bank. On a hit the bank
-  // still learns the tier was emitted, keeping later deltas decodable.
-  std::array<std::shared_ptr<const std::vector<std::uint8_t>>,
-             img::kMaxQuantizeTier + 1>
-      key_memo{};
-  auto fetch_key =
-      [&](int tier) -> std::shared_ptr<const std::vector<std::uint8_t>> {
-    if (!cfg_.cache) return bank_.key(tier);
-    tier = std::clamp(tier, 0, img::kMaxQuantizeTier);  // match bank_.key
-    auto& memo = key_memo[std::size_t(tier)];
-    if (memo) return memo;
-    const CacheKey ck =
-        content_address(cfg_.identity, step, tier, FrameKind::kKey);
-    if (auto hit = cfg_.cache->get(ck)) {
-      bank_.note_emitted(tier);
-      ++rep_.cache_hits;
-      memo = std::move(hit);
-    } else {
-      memo = bank_.key(tier);
-      cfg_.cache->put(ck, memo);
-      ++rep_.cache_misses;
-    }
-    return memo;
-  };
-
   for (auto& cp : clients_) {
     Client& c = *cp;
     service(c, now);
     if (!c.connected) continue;
 
-    Decision d = c.controller.on_frame(c.link->in_flight());
+    // The controller paces frames: a control wire still crossing (the join
+    // ack queued ahead of a client's first frames) is not a frame and must
+    // not push the client toward a lossy tier.
+    Decision d =
+        c.controller.on_frame(c.link->in_flight() - c.control_in_flight);
+    c.rep.peak_level = std::max(c.rep.peak_level, d.level);
     const int tier = d.tier;
     // Chain safety: a delta is only valid against the exact frame the bank's
     // tier chain references, and only for a client that received that frame
@@ -496,10 +479,10 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
     if (!drop) {
       // Encode stage of the e2e waterfall: the wall cost of materializing
       // this client's wire bytes (an actual encode on first demand, a
-      // near-free bank/cache reuse after — the histogram shows both modes).
+      // near-free bank reuse after — the histogram shows both modes).
       const bool timed = metrics::enabled() || obs::lineage::enabled();
       const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
-      wire = key ? fetch_key(tier) : bank_.delta(tier);
+      wire = key ? bank_.key(tier) : bank_.delta(tier);
       if (timed) {
         const double enc_s = double(trace::now_since_epoch_ns() - t0) * 1e-9;
         if (metrics::enabled()) m.e2e_encode.observe(enc_s);
@@ -589,6 +572,7 @@ ServerReport DeliveryServer::finish() {
   auto& m = ServerMetrics::get();
   for (auto& cp : clients_) {
     Client& c = *cp;
+    c.rep.final_level = c.controller.level();
     if (!c.connected || !c.link) continue;
     // Graceful shutdown: stragglers finish crossing and reach the viewer.
     handle_batch(c, c.link->drain());
@@ -596,6 +580,7 @@ ServerReport DeliveryServer::finish() {
     c.connected = false;
     c.rep.connected = true;  // connected through the end of the run
   }
+  if (!cfg_.record_path.empty()) write_record_file(cfg_.record_path, record_);
   m.queue_bytes.set(0.0);
   m.clients.set(0.0);
   rep_.clients.clear();

@@ -1,10 +1,11 @@
 // Multi-viewer delivery server: one frame stream fanned out to N simulated
 // clients with per-client fault isolation.
 //
-// The generalization of StreamSession (one point-to-point link) to the
-// paper's endgame topology: many heterogeneous remote viewers watching the
-// same run. Three failure modes dominate at that scale, and the server makes
-// each impossible by construction rather than unlikely by tuning:
+// The output processor's only delivery path: a point-to-point stream is a
+// one-client fleet. The paper's endgame topology is many heterogeneous
+// remote viewers watching the same run. Three failure modes dominate at that
+// scale, and the server makes each impossible by construction rather than
+// unlikely by tuning:
 //
 //  * A slow client must never cost encode CPU or stall a fast one. Every
 //    (frame, tier, kind) is encoded ONCE by the shared FrameEncoderBank and
@@ -36,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "stream/cache.hpp"
 #include "stream/control.hpp"
 #include "stream/controller.hpp"
 #include "stream/frame_codec.hpp"
@@ -112,14 +112,10 @@ struct ServerConfig {
   // record (step, kind, tier, latency). The chaos invariants need it; the
   // large-fleet bench can turn it off to time the server side alone.
   bool verify_clients = true;
-  // Optional content-addressed cache of encoded keyframes, shared across
-  // servers/sessions of the same content. When set, the keyframe path
-  // consults it before the encoder bank: a hit serves the stored wire with
-  // no encode (the bank is told via note_emitted so its delta chains stay
-  // correct); a miss populates it. `identity` must cover every run-scoped
-  // input that affects pixels — see the trust contract in stream/cache.hpp.
-  std::shared_ptr<FrameCache> cache;
-  CacheIdentity identity;
+  // When set, finish() writes client 0's delivered frames (wire bytes, in
+  // delivery order, control messages left out) as a record file for
+  // `quakeviz view`. With verify_clients, only frames that decoded.
+  std::string record_path;
   // When set, every decoded client frame is appended here (verify_clients
   // only). Tests/harness only; never in a bench's timed section.
   ServerCapture* capture = nullptr;
@@ -140,6 +136,10 @@ struct ClientReport {
   std::uint64_t bytes_sent = 0;
   std::size_t peak_queue_bytes = 0;
   double max_latency_s = 0.0;
+  // Degradation controller level: the highest any frame saw, and the level
+  // at finish() (0 = lossless deltas; controller max_level = keyframe-only).
+  int peak_level = 0;
+  int final_level = 0;
   // Every (re)join's first delivered frame was a keyframe — the re-anchor
   // invariant, observed from the client side.
   bool rejoin_keyframe_ok = true;
@@ -168,8 +168,6 @@ struct ServerReport {
   std::uint64_t bytes_out = 0;       // aggregate egress, frames + control
   std::uint64_t encodes = 0;         // actual encode work performed
   std::uint64_t encode_reuses = 0;   // wire buffers served from the bank
-  std::uint64_t cache_hits = 0;      // keyframes served from the frame cache
-  std::uint64_t cache_misses = 0;    // keyframe lookups that had to encode
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t evictions = 0;
@@ -251,6 +249,7 @@ class DeliveryServer {
   FrameEncoderBank bank_;
   SteerInbox steer_inbox_;
   std::vector<std::unique_ptr<Client>> clients_;
+  std::vector<std::vector<std::uint8_t>> record_;  // client 0's frames
   ServerReport rep_;
   int last_step_ = -1;
   std::uint32_t epoch_ = 0;
@@ -268,9 +267,6 @@ struct ServeFleetConfig {
   double bandwidth_lo = 0.0;
   double latency_s = 0.02;
   std::uint64_t outage_seed = 0;
-  // > 0 installs a content-addressed keyframe cache of this byte budget on
-  // the server (the --cache-bytes flag); the pipeline fills in identity.
-  std::size_t cache_bytes = 0;
   ServerConfig server;
 };
 

@@ -264,6 +264,23 @@ TEST(DeliveryServer, MidStreamJoinStartsWithKeyframe) {
   EXPECT_EQ(rep.decode_failures, 0u);
 }
 
+TEST(DeliveryServer, JoinAckInFlightIsNotAQueuedFrame) {
+  // The controller paces frames, not control messages. Four frames inside
+  // the first 20 ms latency: when the fourth is submitted, three frames and
+  // the join ack are still crossing. The frame depth is 3, below high_water
+  // (4), so every frame stays a lossless tier-0 frame.
+  ServerConfig cfg;
+  DeliveryServer server(cfg, kW, kH);
+  int id = server.join(0.0, fast_link());
+  for (int s = 0; s < 4; ++s) server.submit(0.001 * s, s, frame_at(s));
+  auto rep = server.finish();
+  const auto& c = rep.clients[std::size_t(id)];
+  EXPECT_EQ(c.peak_level, 0);
+  EXPECT_EQ(c.control_delivered, 1u);
+  ASSERT_EQ(c.deliveries.size(), 4u);
+  for (const auto& d : c.deliveries) EXPECT_EQ(d.tier, 0) << "step " << d.step;
+}
+
 TEST(DeliveryServer, GracefulLeaveDeliversQueueThenAck) {
   ServerConfig cfg;
   DeliveryServer server(cfg, kW, kH);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a trace-output smoke test, a stream-delivery smoke
-# test (streamed pipeline -> viewer decode -> byte-exact frame check), a
+# test (served pipeline/insitu -> viewer decode -> byte-exact check), a
 # server churn-chaos stage run under two seeds, a cache-replay stage
 # (zipfian replay digests bit-identical across repeat runs, two seeds, plus
 # the strict CLI parsing contract), an SLO gate (serve + replay runs under
@@ -72,38 +72,53 @@ EOF
 }
 
 stream_smoke() {
-  echo "== stream: streamed pipeline delivers frames the viewer decodes byte-exactly =="
+  echo "== stream: served pipeline and insitu deliver frames the viewer decodes byte-exactly =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target quakeviz
-  local work f
+  local work f driver
   work=$(mktemp -d)
   trap 'rm -rf "$work"' RETURN
   ./build/tools/quakeviz generate --out="$work/ds" --mode=synthetic \
       --steps=4 --max-level=3 >/dev/null
-  ./build/tools/quakeviz pipeline --dataset="$work/ds" --out="$work/frames" \
+  # A point-to-point stream is a one-client fleet; client 0's delivered
+  # frames are recorded for the offline viewer.
+  local serve=(--serve-clients=1 --serve-bandwidth-hi=100000000)
+  ./build/tools/quakeviz pipeline --dataset="$work/ds" \
+      --out="$work/pipeline/frames" \
       --inputs=2 --renderers=2 --width=96 --height=72 --vmax=3 \
-      --stream --stream-bandwidth=100000000 \
-      --stream-record="$work/rec.bin" --metrics-json="$work/run.json"
-  ./build/tools/quakeviz view --in="$work/rec.bin" --out="$work/viewed"
-  for f in "$work"/frames/frame_*.ppm; do
-    cmp "$f" "$work/viewed/$(basename "$f")" \
-        || { echo "stream smoke: viewer frame differs: $f" >&2; return 1; }
+      "${serve[@]}" --serve-record="$work/pipeline/rec.bin" \
+      --metrics-json="$work/pipeline/run.json"
+  ./build/tools/quakeviz insitu --out="$work/insitu/frames" --snapshots=4 \
+      --renderers=2 --width=96 --height=72 \
+      "${serve[@]}" --serve-record="$work/insitu/rec.bin" \
+      --metrics-json="$work/insitu/run.json"
+  for driver in pipeline insitu; do
+    ./build/tools/quakeviz view --in="$work/$driver/rec.bin" \
+        --out="$work/$driver/viewed"
+    for f in "$work/$driver"/frames/frame_*.ppm; do
+      cmp "$f" "$work/$driver/viewed/$(basename "$f")" \
+          || { echo "stream smoke: viewer frame differs: $f" >&2; return 1; }
+    done
+    echo "stream smoke: $driver: all $(ls "$work/$driver"/frames/frame_*.ppm | wc -l) frames byte-identical"
   done
-  echo "stream smoke: all $(ls "$work"/frames/frame_*.ppm | wc -l) frames byte-identical"
   if command -v python3 >/dev/null; then
-    python3 - "$work/run.json" <<'EOF'
+    python3 - "$work/pipeline/run.json" "$work/insitu/run.json" <<'EOF'
 import json, sys
-r = json.load(open(sys.argv[1]))
-c = r["counters"]
-assert c.get("stream.frames_delivered", 0) == 4, c
-assert c.get("stream.dropped_frames", -1) == 0, c
-assert c.get("stream.decode_failures", -1) == 0, c
-assert c.get("stream.bytes_out", 0) > 0, c
-assert "stream.queue_depth" in r["histograms"], "queue depth histogram missing"
-assert "span.stream.encode" in r["histograms"], "encode span feed missing"
-tracked = {m["name"] for m in r["tracked"]}
-assert "stream_latency_s" in tracked, f"tracked = {sorted(tracked)}"
-print("stream smoke: run-report counters and histograms present")
+for path in sys.argv[1:]:
+    r = json.load(open(path))
+    c = r["counters"]
+    h = r["histograms"]
+    client = r["e2e"]["clients"][0]
+    assert client["frames"] == 4, client
+    assert c.get("stream.server.dropped_frames", -1) == 0, c
+    assert c.get("stream.server.decode_failures", -1) == 0, c
+    assert c.get("stream.server.bytes_out", 0) > 0, c
+    assert "stream.server.queue_bytes" in h, "queue histogram missing"
+    assert "stream.e2e.encode" in h, "encode-stage histogram missing"
+    assert h.get("stream.server.latency", {}).get("count") == 4, \
+        "delivery latency histogram missing"
+    assert client["p95_s"] > 0, client
+    print(f"stream smoke: {r['kind']} run-report counters and histograms present")
 EOF
   else
     echo "stream smoke: python3 unavailable, skipped run-report validation"

@@ -44,31 +44,21 @@
 //            [--metrics-prom=FILE.txt]
 //       Simulation-time visualization: solver + renderer concurrently.
 //
-//   Both pipeline and insitu also accept the remote frame-delivery flags:
-//            [--stream] [--stream-bandwidth=BYTES_PER_S]
-//            [--stream-latency-ms=MS] [--stream-queue=N]
-//            [--stream-record=FILE] [--stream-fault-seed=S]
-//            [--stream-fault-up=S] [--stream-fault-down=S]
-//            [--stream-fault-factor=F]
-//       Any --stream-* flag enables the path: the output processor
-//       delta-encodes every frame and ships it over a simulated WAN link
-//       with the given bandwidth/latency (optionally with seeded outage
-//       windows), degrading gracefully under backpressure (quantization
-//       tiers, then keyframe-only, then frame drops). --stream-record
-//       writes the delivered wire frames for 'quakeviz view'.
-//
-//   Both also accept the multi-viewer fan-out flags:
+//   Both pipeline and insitu write frames as DIR/frame_%04d.ppm and also
+//   accept the remote frame-delivery flags:
 //            [--serve-clients=N] [--serve-bandwidth-hi=BYTES_PER_S]
 //            [--serve-bandwidth-lo=BYTES_PER_S] [--serve-latency-ms=MS]
 //            [--serve-outage-seed=S] [--serve-budget=BYTES]
-//            [--serve-evict-timeout=S] [--cache-bytes=BYTES]
+//            [--serve-evict-timeout=S] [--serve-record=FILE]
 //       Any --serve-* flag attaches a DeliveryServer to the output
-//       processor: every finished frame is encoded once per needed tier
-//       and fanned out to N simulated clients with log-spread bandwidths
-//       (and, with an outage seed, flapping links), per-client byte
-//       budgets, and eviction of dead connections. --cache-bytes > 0 adds
-//       a content-addressed keyframe cache (LRU over the byte budget)
-//       keyed on (dataset, step, camera, transfer function, tier).
+//       processor: every finished frame is delta-encoded once per needed
+//       tier and fanned out over simulated WAN links to N clients (default
+//       4) with log-spread bandwidths (and, with an outage seed, flapping
+//       links), each degrading gracefully under backpressure (quantization
+//       tiers, then keyframe-only, then frame drops) within its own byte
+//       budget, with eviction of dead connections. A point-to-point stream
+//       is --serve-clients=1 --serve-bandwidth-hi=B. --serve-record writes
+//       client 0's delivered wire frames for 'quakeviz view'.
 //
 //   Both also accept the interactive-steering flags:
 //            [--steer] [--steer-seed=S] [--steer-edits=N]
@@ -79,7 +69,7 @@
 //       applied edit bumps the view epoch stamped into frame headers (the
 //       epoch echoes the newest applied request id) and resets every
 //       client's delta chain, so the first post-edit frame each viewer
-//       sees is a keyframe. Exclusive with --rebalance and --cache-bytes.
+//       sees is a keyframe. Exclusive with --rebalance.
 //
 //   pipeline, insitu, serve, and replay also accept the observability flags:
 //            [--lineage=FILE.json] [--slo-p95=S] [--slo-drop=R]
@@ -123,19 +113,18 @@
 //
 //   quakeviz replay [--requests=N] [--zipf-s=S] [--seed=S] [--clients=N]
 //            [--steps=N] [--tiers=N] [--width=W] [--height=H]
-//            [--cache-bytes=BYTES] [--bandwidth=BYTES_PER_S]
-//            [--latency-ms=MS] [--interval-ms=MS] [--no-verify]
-//            [--metrics-json=FILE.json]
+//            [--bandwidth=BYTES_PER_S] [--latency-ms=MS]
+//            [--interval-ms=MS] [--no-verify] [--metrics-json=FILE.json]
 //       Drive the content-addressed frame cache with a zipfian request
 //       trace: N simulated clients request (timestep, tier) keyframes with
 //       zipf(s)-popular steps. A miss renders + encodes; a hit serves the
 //       stored wire bytes with no render, byte-verified against the
-//       encoder (exit non-zero on any mismatch). Bit-deterministic per
-//       seed; prints hit rate vs the analytic expectation and the run
-//       digest.
+//       encoder (exit non-zero on any mismatch). The cache is an LRU over
+//       64 MiB. Bit-deterministic per seed; prints hit rate vs the
+//       analytic expectation and the run digest.
 //
 //   quakeviz view --in=FILE [--out=DIR] [--metrics-json=FILE.json]
-//       Decode a --stream-record file like the remote viewer would:
+//       Decode a --serve-record file like the remote viewer would:
 //       verify every frame (magic/CRC/delta chain), optionally write the
 //       frames as PPMs, print each frame's step@epoch/kind/tier and
 //       SHA-256. --metrics-json writes a run report with decode counters
@@ -265,13 +254,6 @@ io::Variable parse_variable(const std::string& name) {
   std::exit(2);
 }
 
-// The remote frame-delivery flags shared by `pipeline` and `insitu`. Any of
-// them enables the stream path.
-constexpr const char* kStreamFlags[] = {
-    "stream",            "stream-bandwidth",  "stream-latency-ms",
-    "stream-queue",      "stream-record",     "stream-fault-seed",
-    "stream-fault-up",   "stream-fault-down", "stream-fault-factor"};
-
 // Link bandwidths must be positive: WanLink rejects <= 0 (the old "0 means
 // infinite" convention produced zero-virtual-time transfers), so catch the
 // bad flag here with a message naming it instead of an uncaught throw later.
@@ -285,53 +267,12 @@ double positive_real(const Args& args, const char* flag, double fallback) {
   return v;
 }
 
-void parse_stream_flags(const Args& args, stream::StreamConfig& cfg) {
-  for (const char* f : kStreamFlags)
-    if (args.flag(f)) cfg.enabled = true;
-  if (!cfg.enabled) return;
-  cfg.bandwidth_bytes_per_s = positive_real(args, "stream-bandwidth", 8e6);
-  cfg.latency_s = args.real("stream-latency-ms", 20.0) / 1000.0;
-  cfg.controller.queue_capacity = args.num("stream-queue", 8);
-  cfg.record_path = args.str("stream-record", "");
-  if (args.flag("stream-fault-seed") || args.flag("stream-fault-down")) {
-    cfg.fault.enabled = true;
-    cfg.fault.seed = std::uint64_t(args.num("stream-fault-seed", 1));
-    cfg.fault.mean_up_seconds = args.real("stream-fault-up", 10.0);
-    cfg.fault.mean_down_seconds = args.real("stream-fault-down", 1.0);
-    cfg.fault.degraded_factor = args.real("stream-fault-factor", 0.0);
-  }
-}
-
-void print_stream_report(const stream::StreamReport& sr) {
-  std::printf(
-      "stream: %llu submitted | %llu delivered | %llu dropped | %llu "
-      "keyframes | %.2f MB | latency avg %.3f s max %.3f s | level %d "
-      "(peak %d)\n",
-      static_cast<unsigned long long>(sr.frames_submitted),
-      static_cast<unsigned long long>(sr.frames_delivered),
-      static_cast<unsigned long long>(sr.frames_dropped),
-      static_cast<unsigned long long>(sr.keyframes),
-      double(sr.bytes_out) / 1e6, sr.avg_display_latency_s,
-      sr.max_display_latency_s, sr.final_level, sr.peak_level);
-  if (sr.decode_failures > 0)
-    std::printf("stream: %llu DECODE FAILURES\n",
-                static_cast<unsigned long long>(sr.decode_failures));
-}
-
-void track_stream_report(metrics::RunReport& rr,
-                         const stream::StreamReport& sr) {
-  rr.track("stream_delivered", double(sr.frames_delivered), "frames");
-  rr.track("stream_dropped", double(sr.frames_dropped), "frames");
-  rr.track("stream_bytes_out", double(sr.bytes_out), "bytes");
-  rr.track("stream_latency_s", sr.avg_display_latency_s, "s");
-}
-
-// The multi-viewer fan-out flags shared by `pipeline` and `insitu`. Any of
-// them enables the delivery server.
+// The frame-delivery flags shared by `pipeline` and `insitu`. Any of them
+// enables the delivery server.
 constexpr const char* kServeFlags[] = {
-    "serve-clients",     "serve-bandwidth-hi", "serve-bandwidth-lo",
-    "serve-latency-ms",  "serve-outage-seed",  "serve-budget",
-    "serve-evict-timeout", "cache-bytes"};
+    "serve-clients",       "serve-bandwidth-hi", "serve-bandwidth-lo",
+    "serve-latency-ms",    "serve-outage-seed",  "serve-budget",
+    "serve-evict-timeout", "serve-record"};
 
 void parse_serve_flags(const Args& args, stream::ServeFleetConfig& cfg) {
   for (const char* f : kServeFlags)
@@ -352,13 +293,7 @@ void parse_serve_flags(const Args& args, stream::ServeFleetConfig& cfg) {
   cfg.server.queue_budget_bytes =
       std::size_t(args.real("serve-budget", double(1u << 20)));
   cfg.server.evict_timeout_s = args.real("serve-evict-timeout", 10.0);
-  const double cache_bytes = args.real("cache-bytes", 0.0);
-  if (cache_bytes < 0.0) {
-    std::fprintf(stderr, "invalid value for --cache-bytes: %g (must be >= 0)\n",
-                 cache_bytes);
-    std::exit(2);
-  }
-  cfg.cache_bytes = std::size_t(cache_bytes);
+  cfg.server.record_path = args.str("serve-record", "");
 }
 
 // Interactive steering flags shared by `pipeline` and `insitu` (and, with a
@@ -390,10 +325,6 @@ void print_server_report(const stream::ServerReport& sr) {
       static_cast<unsigned long long>(sr.encode_reuses),
       static_cast<unsigned long long>(sr.evictions),
       static_cast<unsigned long long>(sr.reconnects));
-  if (sr.cache_hits + sr.cache_misses > 0)
-    std::printf("serve: frame cache %llu hits / %llu misses\n",
-                static_cast<unsigned long long>(sr.cache_hits),
-                static_cast<unsigned long long>(sr.cache_misses));
   if (sr.decode_failures > 0)
     std::printf("serve: %llu DECODE FAILURES\n",
                 static_cast<unsigned long long>(sr.decode_failures));
@@ -410,8 +341,6 @@ void track_server_report(metrics::RunReport& rr,
   rr.track("server_evictions", double(sr.evictions), "evictions");
   rr.track("server_peak_client_queue_bytes",
            double(sr.peak_client_queue_bytes), "bytes");
-  rr.track("server_cache_hits", double(sr.cache_hits), "frames");
-  rr.track("server_cache_misses", double(sr.cache_misses), "frames");
 }
 
 // --- frame lineage + SLO flags ---------------------------------------------
@@ -518,24 +447,13 @@ double server_drop_rate(const stream::ServerReport& sr) {
   return total > 0.0 ? double(sr.frames_dropped) / total : 0.0;
 }
 
-// SLO inputs for pipeline/insitu: the serve fleet when attached, else the
-// single stream session.
+// SLO inputs for pipeline/insitu: the serve fleet (an empty report when
+// none is attached).
 void apply_run_slo(metrics::RunReport& rr, const SloRequest& slo,
-                   bool serve_enabled, const stream::ServerReport& server,
-                   bool stream_enabled, const stream::StreamReport& stream) {
+                   const stream::ServerReport& server) {
   if (!slo.requested) return;
-  std::vector<double> lat;
-  double drop = 0.0;
-  if (serve_enabled) {
-    lat = server_latencies(server);
-    drop = server_drop_rate(server);
-  } else if (stream_enabled) {
-    lat = stream.delivery_latencies_s;
-    const double total =
-        double(stream.frames_delivered + stream.frames_dropped);
-    drop = total > 0.0 ? double(stream.frames_dropped) / total : 0.0;
-  }
-  rr.slo = judge_slo(slo, pooled_percentile(std::move(lat), 95), drop);
+  rr.slo = judge_slo(slo, pooled_percentile(server_latencies(server), 95),
+                     server_drop_rate(server));
   print_slo(*rr.slo);
 }
 
@@ -669,12 +587,9 @@ int cmd_pipeline(const Args& args) {
        "metrics-prom", "fault-seed", "fault-read-rate",
        "fault-short-read-rate", "fault-corrupt-rate", "fault-lose",
        "fault-read-delay-ms", "fault-kill-rank", "fault-kill-step",
-       "stream", "stream-bandwidth", "stream-latency-ms", "stream-queue",
-       "stream-record", "stream-fault-seed", "stream-fault-up",
-       "stream-fault-down", "stream-fault-factor",
        "serve-clients", "serve-bandwidth-hi", "serve-bandwidth-lo",
        "serve-latency-ms", "serve-outage-seed", "serve-budget",
-       "serve-evict-timeout", "cache-bytes", "steer", "steer-seed",
+       "serve-evict-timeout", "serve-record", "steer", "steer-seed",
        "steer-edits", "steer-trace", "lineage", "slo-p95",
        "slo-drop"});
   core::PipelineConfig cfg;
@@ -728,7 +643,6 @@ int cmd_pipeline(const Args& args) {
     return 2;
   }
 
-  parse_stream_flags(args, cfg.stream);
   parse_serve_flags(args, cfg.serve);
   parse_steer_flags(args, cfg.steer);
 
@@ -805,13 +719,11 @@ int cmd_pipeline(const Args& args) {
     rr.track("composite_s", report.avg_composite, "s");
     rr.track("composite_bytes", double(report.composite_bytes), "bytes");
     rr.track("block_bytes_sent", double(report.block_bytes_sent), "bytes");
-    if (cfg.stream.enabled) track_stream_report(rr, report.stream);
     if (cfg.serve.enabled) {
       track_server_report(rr, report.server);
       fill_e2e_from_server(rr, report.server);
     }
-    apply_run_slo(rr, slo, cfg.serve.enabled, report.server,
-                  cfg.stream.enabled, report.stream);
+    apply_run_slo(rr, slo, report.server);
     rr.snapshot = metrics::collect();
     metrics::disable();
     if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
@@ -827,7 +739,6 @@ int cmd_pipeline(const Args& args) {
   if (finish_lineage(lineage_path) != 0) return 1;
   std::printf("frames: %d  interframe %.4f s\n", report.steps,
               report.avg_interframe);
-  if (cfg.stream.enabled) print_stream_report(report.stream);
   if (cfg.serve.enabled) print_server_report(report.server);
   std::printf("per step: fetch %.4f s | preprocess %.4f s | send %.4f s | "
               "render %.4f s | composite %.4f s (%s, %.2f MB exchanged)\n",
@@ -858,13 +769,9 @@ int cmd_insitu(const Args& args) {
                   {"out", "snapshots", "renderers", "render-threads", "width",
                    "height", "vmax",
                    "orbit", "trace", "metrics-json", "metrics-prom",
-                   "stream", "stream-bandwidth", "stream-latency-ms",
-                   "stream-queue", "stream-record", "stream-fault-seed",
-                   "stream-fault-up", "stream-fault-down",
-                   "stream-fault-factor",
                    "serve-clients", "serve-bandwidth-hi", "serve-bandwidth-lo",
                    "serve-latency-ms", "serve-outage-seed", "serve-budget",
-                   "serve-evict-timeout", "cache-bytes", "steer", "steer-seed",
+                   "serve-evict-timeout", "serve-record", "steer", "steer-seed",
                    "steer-edits", "steer-trace", "lineage", "slo-p95",
                    "slo-drop"});
   core::InsituConfig cfg;
@@ -883,7 +790,6 @@ int cmd_insitu(const Args& args) {
   cfg.output_dir = args.str("out", "");
   if (!cfg.output_dir.empty())
     std::filesystem::create_directories(cfg.output_dir);
-  parse_stream_flags(args, cfg.stream);
   parse_serve_flags(args, cfg.serve);
   parse_steer_flags(args, cfg.steer);
   const std::string trace_path = args.str("trace", "");
@@ -914,13 +820,11 @@ int cmd_insitu(const Args& args) {
     rr.track("sim_s", report.sim_seconds, "s");
     rr.track("frame_s",
              report.snapshots > 0 ? frame_total / report.snapshots : 0.0, "s");
-    if (cfg.stream.enabled) track_stream_report(rr, report.stream);
     if (cfg.serve.enabled) {
       track_server_report(rr, report.server);
       fill_e2e_from_server(rr, report.server);
     }
-    apply_run_slo(rr, slo, cfg.serve.enabled, report.server,
-                  cfg.stream.enabled, report.stream);
+    apply_run_slo(rr, slo, report.server);
     rr.snapshot = metrics::collect();
     metrics::disable();
     if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
@@ -936,7 +840,6 @@ int cmd_insitu(const Args& args) {
   if (finish_lineage(lineage_path) != 0) return 1;
   std::printf("simulated %.1f s in %.2f s; %d frames\n",
               report.sim_time_reached, report.sim_seconds, report.snapshots);
-  if (cfg.stream.enabled) print_stream_report(report.stream);
   if (cfg.serve.enabled) print_server_report(report.server);
   return 0;
 }
@@ -1109,7 +1012,7 @@ int cmd_serve(const Args& args) {
 int cmd_replay(const Args& args) {
   args.allow_only("replay",
                   {"requests", "zipf-s", "seed", "clients", "steps", "tiers",
-                   "width", "height", "cache-bytes", "bandwidth", "latency-ms",
+                   "width", "height", "bandwidth", "latency-ms",
                    "interval-ms", "no-verify", "metrics-json", "lineage",
                    "slo-p95", "slo-drop"});
   stream::ReplayConfig cfg;
@@ -1121,8 +1024,6 @@ int cmd_replay(const Args& args) {
   cfg.tiers = args.num("tiers", 1);
   cfg.width = args.num("width", 192);
   cfg.height = args.num("height", 144);
-  cfg.cache.capacity_bytes =
-      std::size_t(positive_real(args, "cache-bytes", double(64u << 20)));
   cfg.link.bandwidth_bytes_per_s = positive_real(args, "bandwidth", 8e6);
   cfg.link.latency_s = args.real("latency-ms", 20.0) / 1000.0;
   cfg.interval_s = args.real("interval-ms", 10.0) / 1000.0;
@@ -1144,7 +1045,7 @@ int cmd_replay(const Args& args) {
     rr.track("replay_hit_rate", rep.hit_rate, "ratio");
     rr.track("replay_bytes_served", double(rep.bytes_served), "bytes");
     rr.track("cache_evictions", double(rep.cache.evictions), "evictions");
-    rr.track("cache_bytes", double(rep.cache.bytes), "bytes");
+    rr.track("cache_resident_bytes", double(rep.cache.bytes), "bytes");
     metrics::E2eBlock block;
     for (const auto& c : rep.client_e2e) {
       metrics::E2eClientStats s;
@@ -1191,7 +1092,7 @@ int cmd_replay(const Args& args) {
   return 0;
 }
 
-// The remote viewer, offline: replay a --stream-record file through the
+// The remote viewer, offline: replay a --serve-record file through the
 // same FrameDecoder the in-process viewer uses. Frames are written under
 // their step number (frame_%04d.ppm) so a delivered frame lands on the
 // same name the output processor used locally — `cmp` does the rest.
