@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "compositing/binary_swap.hpp"
 #include "compositing/direct_send.hpp"
 #include "compositing/radix_k.hpp"
 #include "compositing/slic.hpp"
@@ -114,7 +113,7 @@ void bench_size(int ranks, int w, int h) {
 
     if ((ranks & (ranks - 1)) == 0) {
       auto bs_row = run(ranks, dist, [&](vmpi::Comm& c, auto partials) {
-        return binary_swap(c, partials, w, h, compress, 0);
+        return radix_k(c, partials, w, h, /*k=*/2, compress, 0);
       });
       print_row(compress ? "binary-swap + compression" : "binary-swap",
                 bs_row, false);

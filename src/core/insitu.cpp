@@ -1,38 +1,23 @@
 #include "core/insitu.hpp"
 
-#include <cstdio>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 
-#include "compositing/slic.hpp"
+#include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
 #include "core/output_stage.hpp"
+#include "core/render_stage.hpp"
 #include "trace/trace.hpp"
 #include "io/block_index.hpp"
 #include "io/preprocess.hpp"
-#include "obs/lineage.hpp"
 #include "quake/parallel_solver.hpp"
-#include "render/order.hpp"
-#include "render/raycast.hpp"
 #include "util/stats.hpp"
 #include "vmpi/comm.hpp"
 
 namespace qv::core {
 
 namespace {
-
-int tag_block(int snap) { return snap * 8 + 0; }
-int tag_frame(int snap) { return snap * 8 + 1; }
-
-struct SnapHeader {
-  std::int32_t snapshot;
-  std::int32_t block;
-  float lo, hi;
-  float sim_time;
-  std::uint32_t count;
-};
 
 struct Shared {
   const InsituConfig& cfg;
@@ -48,56 +33,21 @@ struct Setup {
   std::vector<int> owners;
   io::BlockNodeIndex index;
   render::TransferFunction tf;
-
-  // Numbered steering trace (empty unless cfg.steer.enabled); identical on
-  // every rank, so all roles agree on the view-at-snapshot fold.
-  std::vector<stream::SteerEvent> steer_trace;
+  // Snapshots take the role of steps; there is no rebalancing.
+  ViewSchedule view;
 
   explicit Setup(const InsituConfig& cfg)
       : mesh(build_insitu_mesh(cfg)),
         tf(cfg.colormap == Colormap::kSeismic
                ? render::TransferFunction::seismic()
-               : render::TransferFunction::grayscale()) {
+               : render::TransferFunction::grayscale()),
+        view(mesh.domain(), cfg.width, cfg.height, cfg.orbit_deg_per_step,
+             cfg.render, cfg.steer, cfg.snapshots, /*rebalance_every=*/0) {
     blocks = octree::decompose(mesh.octree(), cfg.block_level);
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(mesh, blocks);
-    if (cfg.steer.enabled) {
-      std::vector<stream::SteerEvent> trace;
-      if (!cfg.steer.trace_path.empty()) {
-        std::string err;
-        auto loaded = stream::load_steer_trace(cfg.steer.trace_path, &err);
-        if (!loaded) throw std::runtime_error("insitu: steering trace: " + err);
-        trace = std::move(*loaded);
-      } else {
-        trace = stream::make_steer_trace(cfg.steer.seed, cfg.snapshots,
-                                         cfg.steer.edits);
-      }
-      for (const auto& ev : trace) {
-        if (ev.msg.kind == stream::SteerKind::kScrub)
-          throw std::runtime_error(
-              "insitu: scrub edits are serve-loop only — the solver's "
-              "snapshots arrive in simulation order");
-      }
-      steer_trace = stream::number_steer_trace(std::move(trace));
-    }
-  }
-
-  stream::SteeringState steer_view(const InsituConfig& cfg, int snap) const {
-    stream::SteeringState base;
-    base.value_lo = cfg.render.value_lo;
-    base.value_hi = cfg.render.value_hi;
-    return stream::fold_steer_trace(steer_trace, snap, base);
-  }
-  std::uint32_t epoch_of(const InsituConfig& cfg, int snap) const {
-    return cfg.steer.enabled ? steer_view(cfg, snap).epoch : 0;
-  }
-
-  render::Camera camera(const InsituConfig& cfg, int snap) const {
-    float az = cfg.orbit_deg_per_step * float(snap);
-    if (cfg.steer.enabled) az += steer_view(cfg, snap).azimuth_deg;
-    return render::Camera::orbit(mesh.domain(), cfg.width, cfg.height, az);
   }
 };
 
@@ -130,17 +80,15 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
     auto vel = solver.velocity_interleaved();
     auto scalar = io::derive_scalar(vel, 3, cfg.variable);
     auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-    std::vector<std::uint8_t> msg;
+    std::vector<std::uint8_t> values;
     for (std::size_t b = 0; b < st.blocks.size(); ++b) {
       auto nodes = st.index.block_nodes(b);
-      msg.resize(sizeof(SnapHeader) + nodes.size());
-      SnapHeader hdr{snap,          std::int32_t(b), q.lo, q.hi,
-                     float(solver.time()), std::uint32_t(nodes.size())};
-      std::memcpy(msg.data(), &hdr, sizeof(hdr));
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        msg[sizeof(hdr) + i] = q.values[nodes[i]];
-      }
-      world.isend(cfg.sim_procs + st.owners[b], tag_block(snap), msg);
+      values.resize(nodes.size());
+      for (std::size_t i = 0; i < nodes.size(); ++i)
+        values[i] = q.values[nodes[i]];
+      world.isend(cfg.sim_procs + st.owners[b], tag_block(snap),
+                  make_block_msg(snap, b, q.lo, q.hi, values, false, nullptr,
+                                 nullptr));
     }
   }
   if (streamer) {
@@ -153,109 +101,28 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
 void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const InsituConfig& cfg = sh.cfg;
-  const int rr = render_comm.rank();
-  const int out_rank = cfg.sim_procs + cfg.render_procs;
+  RenderAssignment assign;
+  assign.rebuild(st.mesh, st.blocks, st.index, render_comm.rank(), st.owners);
+  RenderStage stage(st.view, st.tf, st.mesh.domain(), st.blocks,
+                    cfg.render_threads,
+                    {.algo = Compositor::kSlic, .compress = false}, world,
+                    render_comm);
 
-  std::vector<std::size_t> owned;
-  std::map<int, std::size_t> local_of;
-  for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-    if (st.owners[b] == rr) {
-      local_of[int(b)] = owned.size();
-      owned.push_back(b);
-    }
-  }
-  std::vector<render::RenderBlock> rblocks;
-  std::vector<std::vector<float>> values(owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    rblocks.emplace_back(st.mesh, st.blocks[owned[i]],
-                         st.index.block_nodes(owned[i]));
-    values[i].resize(st.index.block_nodes(owned[i]).size());
-  }
-
-  render::Raycaster rc(st.tf, cfg.render, st.mesh.domain().extent().x);
-  // Steering: a folded TF edit rebuilds the raycaster (the camera is
-  // already refreshed per snapshot below).
-  std::uint32_t steer_epoch = 0;
-  util::ThreadPool render_pool(
-      std::max(1, cfg.render_threads), [rr](int w) {
-        if (!trace::enabled()) return;
-        char tname[32];
-        std::snprintf(tname, sizeof(tname), "render %d.w%d", rr, w);
-        trace::set_thread(1000 + rr * 64 + w, tname);
-      });
-  std::vector<std::uint32_t> rank_of(st.blocks.size());
-
+  std::vector<std::uint8_t> msg, scratch;
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      std::vector<std::uint8_t> msg;
+    for (std::size_t k = 0; k < assign.owned.size(); ++k) {
       {
         trace::Span wait_span("pipeline", "wait_blocks", snap);
         world.recv(vmpi::kAnySource, tag_block(snap), msg);
       }
-      SnapHeader hdr;
-      std::memcpy(&hdr, msg.data(), sizeof(hdr));
-      std::size_t li = local_of.at(hdr.block);
-      if (values[li].size() != hdr.count)
-        throw std::runtime_error("insitu: block message size mismatch");
-      const float scale = (hdr.hi - hdr.lo) / 255.0f;
-      for (std::size_t i = 0; i < hdr.count; ++i) {
-        values[li][i] = hdr.lo + scale * float(msg[sizeof(hdr) + i]);
-      }
+      // No fault layer runs here, so a bad message is a bug, not a loss.
+      const auto hdr = read_header<BlockMsgHeader>(msg);
+      if (!hdr || !payload_ok(*hdr, msg))
+        throw std::runtime_error("insitu: bad block message");
+      unpack_block(*hdr, msg, scratch,
+                   assign.block_values[assign.local_of.at(hdr->block)]);
     }
-
-    if (cfg.steer.enabled &&
-        st.epoch_of(cfg, snap) != steer_epoch) {
-      const stream::SteeringState v = st.steer_view(cfg, snap);
-      render::RenderOptions opt = cfg.render;
-      opt.value_lo = v.value_lo;
-      opt.value_hi = v.value_hi;
-      rc = render::Raycaster(st.tf, opt, st.mesh.domain().extent().x);
-      steer_epoch = v.epoch;
-    }
-    render::Camera camera = st.camera(cfg, snap);
-    auto order = render::visibility_order(st.blocks, st.mesh.domain(),
-                                          camera.eye());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      rank_of[order[i]] = std::uint32_t(i);
-
-    std::vector<render::PartialImage> partials;
-    // The view epoch: 0 forever unless steering folds edits in.
-    const std::int64_t render_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    {
-      trace::Span render_span("pipeline", "render", snap);
-      std::vector<std::uint32_t> orders(owned.size());
-      for (std::size_t i = 0; i < owned.size(); ++i) {
-        rblocks[i].set_values(values[i]);
-        orders[i] = rank_of[owned[i]];
-      }
-      partials = render::render_blocks(camera, rc, rblocks, orders,
-                                       &render_pool);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kRender, snap, st.epoch_of(cfg, snap),
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - render_t0) * 1e-9);
-    }
-    compositing::CompositeResult comp;
-    const std::int64_t comp_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    {
-      trace::Span composite_span("pipeline", "composite", snap);
-      comp = compositing::slic(render_comm, partials, cfg.width,
-                               cfg.height, false, 0);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kComposite, snap, st.epoch_of(cfg, snap),
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - comp_t0) * 1e-9);
-    }
-    if (rr == 0) {
-      world.isend(out_rank, tag_frame(snap),
-                  make_frame_msg(snap, false, comp.image.pixels()));
-    }
+    stage.run(snap, assign, /*degraded=*/false, /*block_seconds=*/false);
   }
 }
 
@@ -275,7 +142,7 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
     if (!view) throw std::runtime_error("insitu: bad frame message");
     std::memcpy(frame.pixels().data(), view->pixels.data(),
                 view->pixels.size_bytes());
-    out.emit(scope, st.epoch_of(cfg, snap), frame);
+    out.emit(scope, std::uint32_t(st.view.epoch_of(snap)), frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   std::lock_guard lk(sh.mu);
@@ -308,16 +175,7 @@ InsituReport run_insitu(const InsituConfig& config,
     const int role = r < config.sim_procs
                          ? 0
                          : (r < config.sim_procs + config.render_procs ? 1 : 2);
-    if (trace::enabled()) {
-      char tname[32];
-      if (role == 0)
-        std::snprintf(tname, sizeof(tname), "sim %d", r);
-      else if (role == 1)
-        std::snprintf(tname, sizeof(tname), "render %d", r - config.sim_procs);
-      else
-        std::snprintf(tname, sizeof(tname), "output");
-      trace::set_thread(r, tname);
-    }
+    label_rank_thread(r, config.sim_procs, config.render_procs, "sim");
     vmpi::Comm sub = world.split(role, r);
     world.barrier();
     switch (role) {

@@ -2,9 +2,13 @@
 // "perform simulation-time visualization allowing scientists to monitor
 // the simulation ... the parallel simulation and renderer will run
 // simultaneously". Here the FEM wave solver runs on a simulation
-// processor and streams velocity snapshots directly to the rendering
-// processors over the message-passing runtime — no disk in the loop —
-// while the output processor emits frames as the earthquake unfolds.
+// processor group whose root streams velocity snapshots directly to the
+// rendering processors over the message-passing runtime — no disk in the
+// loop — as the pipeline's CRC-framed block messages (core/block_msg.hpp).
+// The renderers and the output processor are the batch pipeline's: each
+// snapshot goes through the shared render stage (core/render_stage.hpp,
+// SLIC compositing without compression) and the shared output stage
+// (core/output_stage.hpp), so frames appear as the earthquake unfolds.
 #pragma once
 
 #include <string>

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -9,25 +8,18 @@
 #include <optional>
 #include <stdexcept>
 
-#include "compositing/binary_swap.hpp"
-#include "compositing/radix_k.hpp"
-#include "compositing/direct_send.hpp"
-#include "compositing/slic.hpp"
+#include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
 #include "core/output_stage.hpp"
+#include "core/render_stage.hpp"
 #include "img/image.hpp"
 #include "io/block_index.hpp"
-#include "io/codec.hpp"
 #include "io/dataset.hpp"
 #include "io/preprocess.hpp"
 #include "lic/lic.hpp"
 #include "metrics/metrics.hpp"
-#include "obs/lineage.hpp"
-#include "render/order.hpp"
-#include "render/raycast.hpp"
 #include "trace/trace.hpp"
-#include "util/crc32.hpp"
 #include "util/stats.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/file.hpp"
@@ -36,34 +28,19 @@ namespace qv::core {
 
 namespace {
 
-// Per-step message tags: step * 8 + kind keeps the spaces disjoint.
-// (Epoch-indexed assignment messages reuse the same scheme with kind 3.)
-// Every per-step tag is ≡ 0..3 (mod 8), so the constant control tags 4 and
-// 5 can never collide with them.
-int tag_block(int step) { return step * 8 + 0; }
-int tag_frame(int step) { return step * 8 + 1; }
+// Per-step tags beyond block_msg.hpp's blocks (kind 0) and frames (kind 1):
+// LIC textures, and epoch-indexed block assignments under the same scheme.
 int tag_lic(int step) { return step * 8 + 2; }
 int tag_assign(int epoch) { return epoch * 8 + 3; }
 constexpr int kTagNack = 4;  // renderer -> input: resend a corrupt payload
 constexpr int kTagDone = 5;  // renderer -> input: no more NACKs will come
 
-constexpr std::uint8_t kFlagStepSkipped = 1;  // fetch failed; reuse old data
 // Re-requests per renderer per step before giving up on fresh data. Bounds
 // the worst case (every resend corrupted again) instead of looping forever.
 constexpr int kMaxNacksPerStep = 4;
 
-struct BlockMsgHeader {
-  std::int32_t step;
-  std::int32_t block;
-  float lo, hi;          // quantization range
-  std::uint32_t count;   // quantized value count
-  std::uint32_t payload; // bytes that follow (== count when uncompressed)
-  std::uint32_t crc;     // CRC-32 of the payload bytes
-  std::uint8_t compressed;
-  std::uint8_t flags;    // kFlagStepSkipped
-  std::uint8_t pad[2];
-};
-
+// 2DIP-independent: one group member's slice for one renderer, in forward-map
+// order. Same layout and framing as BlockMsgHeader.
 struct SliceMsgHeader {
   std::int32_t step;
   std::int32_t member;
@@ -75,12 +52,6 @@ struct SliceMsgHeader {
   std::uint8_t flags;
   std::uint8_t pad[2];
 };
-
-// The fault layer never corrupts the first FaultPlan::corrupt_offset_min
-// (default 32) bytes of a message — the trusted-header model. Both data
-// headers must fit in that prefix so step/block routing and the CRC itself
-// survive, which is what lets a renderer address its NACK.
-static_assert(sizeof(BlockMsgHeader) == 32);
 static_assert(sizeof(SliceMsgHeader) == 32);
 
 // (The render root -> output processor frame hop uses the shared
@@ -91,110 +62,6 @@ struct NackMsg {
   std::int32_t step;
   std::int32_t block;  // global block id, or -1 for a 2DIP slice message
 };
-
-// Append `values` to `msg` after its header, RLE-compressed when that wins
-// and `allow` is set. Fills payload/compressed in the header at `hdr_pos`.
-template <typename Header>
-void pack_values(std::vector<std::uint8_t>& msg, std::size_t hdr_pos,
-                 std::span<const std::uint8_t> values, bool allow,
-                 std::uint64_t* raw_bytes, std::uint64_t* sent_bytes) {
-  std::size_t payload_pos = msg.size();
-  bool compressed = false;
-  if (allow) {
-    io::rle8_encode(values, msg);
-    if (msg.size() - payload_pos < values.size()) {
-      compressed = true;
-    } else {
-      msg.resize(payload_pos);  // compression did not pay off
-    }
-  }
-  if (!compressed) {
-    msg.insert(msg.end(), values.begin(), values.end());
-  }
-  Header hdr;
-  std::memcpy(&hdr, msg.data() + hdr_pos, sizeof(hdr));
-  hdr.payload = std::uint32_t(msg.size() - payload_pos);
-  hdr.compressed = compressed ? 1 : 0;
-  hdr.crc = util::crc32({msg.data() + payload_pos, msg.size() - payload_pos});
-  std::memcpy(msg.data() + hdr_pos, &hdr, sizeof(hdr));
-  if (raw_bytes) *raw_bytes += values.size();
-  if (sent_bytes) *sent_bytes += msg.size() - payload_pos;
-}
-
-// Does the payload match its framing checksum?
-template <typename Header>
-bool payload_ok(const Header& hdr, std::span<const std::uint8_t> msg) {
-  if (msg.size() != sizeof(Header) + hdr.payload) return false;
-  return util::crc32(msg.subspan(sizeof(Header))) == hdr.crc;
-}
-
-std::vector<std::uint8_t> make_block_msg(int step, std::size_t block, float lo,
-                                         float hi,
-                                         std::span<const std::uint8_t> values,
-                                         bool compress, std::uint64_t* raw,
-                                         std::uint64_t* sent) {
-  std::vector<std::uint8_t> msg(sizeof(BlockMsgHeader));
-  BlockMsgHeader hdr{step, std::int32_t(block),        lo, hi,
-                     std::uint32_t(values.size()), 0,  0,  0,
-                     0,    {}};
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  pack_values<BlockMsgHeader>(msg, 0, values, compress, raw, sent);
-  return msg;
-}
-
-std::vector<std::uint8_t> make_slice_msg(int step, int member, float lo,
-                                         float hi,
-                                         std::span<const std::uint8_t> values,
-                                         bool compress, std::uint64_t* raw,
-                                         std::uint64_t* sent) {
-  std::vector<std::uint8_t> msg(sizeof(SliceMsgHeader));
-  SliceMsgHeader hdr{step, member,                       lo, hi,
-                     std::uint32_t(values.size()), 0,   0,  0,
-                     0,    {}};
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  pack_values<SliceMsgHeader>(msg, 0, values, compress, raw, sent);
-  return msg;
-}
-
-// Header-only "this step's data is not coming" marker.
-std::vector<std::uint8_t> make_skip_block_msg(int step, std::int32_t block = -1) {
-  BlockMsgHeader hdr{};
-  hdr.step = step;
-  hdr.block = block;
-  hdr.flags = kFlagStepSkipped;
-  std::vector<std::uint8_t> msg(sizeof(hdr));
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  return msg;
-}
-
-std::vector<std::uint8_t> make_skip_slice_msg(int step, int member) {
-  SliceMsgHeader hdr{};
-  hdr.step = step;
-  hdr.member = member;
-  hdr.flags = kFlagStepSkipped;
-  std::vector<std::uint8_t> msg(sizeof(hdr));
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  return msg;
-}
-
-// Dequantize a header's payload into `dst` through `scatter(i, value)`.
-template <typename Header, typename Fn>
-void unpack_values(const Header& hdr, std::span<const std::uint8_t> msg,
-                   std::vector<std::uint8_t>& scratch, Fn&& store) {
-  std::span<const std::uint8_t> values;
-  if (hdr.compressed) {
-    scratch.resize(hdr.count);
-    if (!io::rle8_decode(msg, sizeof(Header), scratch))
-      throw std::runtime_error("pipeline: corrupt compressed block payload");
-    values = scratch;
-  } else {
-    values = msg.subspan(sizeof(Header), hdr.count);
-  }
-  const float scale = (hdr.hi - hdr.lo) / 255.0f;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    store(i, hdr.lo + scale * float(values[i]));
-  }
-}
 
 // Stats shared across the rank threads (joined before run_pipeline returns).
 // Only the wall-time accumulators live here now; every event COUNT moved to
@@ -249,9 +116,7 @@ struct Setup {
   io::BlockNodeIndex index;
   render::TransferFunction tf;
   int num_steps;
-  // Numbered steering trace (empty unless cfg.steer.enabled): ids 1..N in
-  // step order, identical on every rank (config-distributed).
-  std::vector<stream::SteerEvent> steer_trace;
+  ViewSchedule view;
 
   explicit Setup(const PipelineConfig& config)
       : cfg(config),
@@ -263,57 +128,18 @@ struct Setup {
                ? render::TransferFunction::from_file(config.tf_file)
                : (config.colormap == Colormap::kSeismic
                       ? render::TransferFunction::seismic()
-                      : render::TransferFunction::grayscale())) {
+                      : render::TransferFunction::grayscale())),
+        num_steps(config.num_steps < 0
+                      ? reader.meta().num_steps
+                      : std::min(config.num_steps, reader.meta().num_steps)),
+        view(reader.meta().domain, config.width, config.height,
+             config.orbit_deg_per_step, config.render, config.steer,
+             num_steps, config.rebalance_every) {
     blocks = octree::decompose(mesh->octree(), cfg.block_level);
     octree::estimate_workloads(mesh->octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(*mesh, blocks);
-    num_steps = cfg.num_steps < 0
-                    ? reader.meta().num_steps
-                    : std::min(cfg.num_steps, reader.meta().num_steps);
-    if (cfg.steer.enabled) {
-      std::vector<stream::SteerEvent> trace;
-      if (!cfg.steer.trace_path.empty()) {
-        std::string err;
-        auto loaded = stream::load_steer_trace(cfg.steer.trace_path, &err);
-        if (!loaded)
-          throw std::runtime_error("pipeline: steering trace: " + err);
-        trace = std::move(*loaded);
-      } else {
-        trace = stream::make_steer_trace(cfg.steer.seed, num_steps,
-                                         cfg.steer.edits);
-      }
-      for (const auto& ev : trace) {
-        if (ev.msg.kind == stream::SteerKind::kScrub)
-          throw std::runtime_error(
-              "pipeline: scrub edits are serve-loop only — the batch "
-              "pipeline reads dataset steps in order");
-      }
-      steer_trace = stream::number_steer_trace(std::move(trace));
-    }
-  }
-
-  // The base (un-steered) view the steering fold starts from.
-  stream::SteeringState steer_base() const {
-    stream::SteeringState v;
-    v.value_lo = cfg.render.value_lo;
-    v.value_hi = cfg.render.value_hi;
-    return v;
-  }
-  stream::SteeringState steer_view(int step) const {
-    return stream::fold_steer_trace(steer_trace, step, steer_base());
-  }
-
-  render::Camera camera(int step) const {
-    float az = cfg.orbit_deg_per_step * float(step);
-    if (cfg.steer.enabled) az += steer_view(step).azimuth_deg;
-    return render::Camera::orbit(reader.meta().domain, cfg.width, cfg.height,
-                                 az);
-  }
-  int epoch_of(int step) const {
-    if (cfg.steer.enabled) return int(steer_view(step).epoch);
-    return cfg.rebalance_every > 0 ? step / cfg.rebalance_every : 0;
   }
 
   std::uint64_t level_offset() const { return reader.level_offset_bytes(level); }
@@ -534,7 +360,7 @@ void run_input_1dip(Shared& sh, const Setup& st, vmpi::Comm& world,
     // Dynamic redistribution: pick up the assignment of this step's epoch
     // (the render group publishes one per epoch boundary). Rebalance epochs
     // only — steering epochs never reassign blocks.
-    while (cfg.rebalance_every > 0 && st.epoch_of(s) > cur_epoch) {
+    while (cfg.rebalance_every > 0 && st.view.epoch_of(s) > cur_epoch) {
       ++cur_epoch;
       owners = ctl.await_assignment(cur_epoch);
     }
@@ -703,7 +529,8 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
   auto regen_slice = [&](int rs, int /*block*/, int requester) {
     auto range = sent_range.find(rs);
     if (range == sent_range.end()) {
-      world.isend(requester, tag_block(rs), make_skip_slice_msg(rs, mi));
+      world.isend(requester, tag_block(rs),
+                  make_skip_block_msg<SliceMsgHeader>(rs, mi));
       return;
     }
     try {
@@ -717,10 +544,12 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
       for (std::size_t i = 0; i < positions.size(); ++i)
         values[i] = q.values[positions[i]];
       world.isend(requester, tag_block(rs),
-                  make_slice_msg(rs, mi, q.lo, q.hi, values,
-                                 cfg.compress_blocks, nullptr, nullptr));
+                  make_block_msg<SliceMsgHeader>(rs, mi, q.lo, q.hi, values,
+                                                 cfg.compress_blocks, nullptr,
+                                                 nullptr));
     } catch (const vmpi::IoError&) {
-      world.isend(requester, tag_block(rs), make_skip_slice_msg(rs, mi));
+      world.isend(requester, tag_block(rs),
+                  make_skip_block_msg<SliceMsgHeader>(rs, mi));
     }
   };
 
@@ -772,7 +601,7 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
         if (!serves[std::size_t(r)]) continue;
         world.isend(I + r, tag_block(s),
                     collective ? make_skip_block_msg(s)
-                               : make_skip_slice_msg(s, mi));
+                               : make_skip_block_msg<SliceMsgHeader>(s, mi));
       }
       continue;
     }
@@ -811,8 +640,9 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
           values[i] = q.values[positions[i]];
         }
         world.isend(I + r, tag_block(s),
-                    make_slice_msg(s, mi, q.lo, q.hi, values,
-                                   cfg.compress_blocks, &raw, &sent_bytes));
+                    make_block_msg<SliceMsgHeader>(s, mi, q.lo, q.hi, values,
+                                                   cfg.compress_blocks, &raw,
+                                                   &sent_bytes));
       }
     }
     pipe_counters().block_bytes_raw.add(raw);
@@ -827,57 +657,15 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
 // Rendering processors
 // ---------------------------------------------------------------------------
 
-// Renderer-side view of the current block assignment.
-struct RenderAssignment {
-  std::vector<int> owners;
-  std::vector<std::size_t> owned;         // my global block ids
-  std::map<int, std::size_t> local_of;    // global block id -> owned index
-  std::vector<render::RenderBlock> rblocks;
-  std::vector<std::vector<float>> block_values;
-
-  void rebuild(const Setup& st, int my_rank, std::vector<int> new_owners) {
-    owners = std::move(new_owners);
-    owned.clear();
-    local_of.clear();
-    rblocks.clear();
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      if (owners[b] == my_rank) {
-        local_of[int(b)] = owned.size();
-        owned.push_back(b);
-      }
-    }
-    rblocks.reserve(owned.size());
-    block_values.assign(owned.size(), {});
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      rblocks.emplace_back(*st.mesh, st.blocks[owned[i]],
-                           st.index.block_nodes(owned[i]));
-      block_values[i].resize(st.index.block_nodes(owned[i]).size());
-    }
-  }
-};
-
 void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const PipelineConfig& cfg = sh.config;
   const int rr = render_comm.rank();
-  const int out_rank = cfg.total_input_procs() + cfg.render_procs;
   const bool independent = cfg.strategy == IoStrategy::kTwoDipIndependent;
-  const bool orbiting = cfg.orbit_deg_per_step != 0.0f;
+  const bool rebalancing = cfg.rebalance_every > 0;
 
   RenderAssignment assign;
-  assign.rebuild(st, rr, st.owners);
-
-  // View-dependent preprocessing (§4): global visibility ranks, recomputed
-  // whenever the viewpoint moves.
-  render::Camera camera = st.camera(0);
-  std::vector<std::uint32_t> rank_of(st.blocks.size());
-  auto recompute_order = [&]() {
-    auto order = render::visibility_order(st.blocks, st.mesh->domain(),
-                                          camera.eye());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      rank_of[order[i]] = std::uint32_t(i);
-  };
-  recompute_order();
+  assign.rebuild(*st.mesh, st.blocks, st.index, rr, st.owners);
 
   // Independent-contiguous reads: precompute, per group member, the scatter
   // list of (owned block, position) matching the member's value order.
@@ -902,32 +690,10 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     }
   }
 
-  render::Raycaster rc(st.tf, cfg.render, st.mesh->domain().extent().x);
-  // Steering: the transfer-function window lives in the Raycaster, so a
-  // folded edit rebuilds it (camera/order are refreshed by the same path).
-  const bool steering = cfg.steer.enabled;
-  std::uint32_t steer_epoch = 0;
-  auto apply_steer = [&](int s) {
-    const stream::SteeringState v = st.steer_view(s);
-    render::RenderOptions opt = cfg.render;
-    opt.value_lo = v.value_lo;
-    opt.value_hi = v.value_hi;
-    rc = render::Raycaster(st.tf, opt, st.mesh->domain().extent().x);
-    camera = st.camera(s);
-    recompute_order();
-    steer_epoch = v.epoch;
-  };
-
-  // Intra-rank render pool: cfg.render_threads workers (including this
-  // rank's own thread) share each step's (block x tile) task list. With 1
-  // thread no workers are spawned and rendering runs inline.
-  util::ThreadPool render_pool(
-      std::max(1, cfg.render_threads), [rr](int w) {
-        if (!trace::enabled()) return;
-        char tname[32];
-        std::snprintf(tname, sizeof(tname), "render %d.w%d", rr, w);
-        trace::set_thread(1000 + rr * 64 + w, tname);
-      });
+  RenderStage stage(st.view, st.tf, st.mesh->domain(), st.blocks,
+                    cfg.render_threads,
+                    {cfg.compositor, cfg.composite_k, cfg.compress_compositing},
+                    world, render_comm);
 
   double render_time = 0, composite_time = 0;
   const auto timeout = std::chrono::milliseconds(
@@ -966,10 +732,10 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
           degraded = true;  // a member died; render what we have
           break;
         }
-        SliceMsgHeader hdr;
-        if (msg.size() < sizeof(hdr))
+        const auto header = read_header<SliceMsgHeader>(msg);
+        if (!header)
           throw std::runtime_error("pipeline: truncated slice message");
-        std::memcpy(&hdr, msg.data(), sizeof(hdr));
+        const SliceMsgHeader& hdr = *header;
         if (hdr.flags & kFlagStepSkipped) {
           // Only this member's share is stale; the others still count.
           degraded = true;
@@ -1006,10 +772,10 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
           degraded = true;
           break;
         }
-        BlockMsgHeader hdr;
-        if (msg.size() < sizeof(hdr))
+        const auto header = read_header<BlockMsgHeader>(msg);
+        if (!header)
           throw std::runtime_error("pipeline: truncated block message");
-        std::memcpy(&hdr, msg.data(), sizeof(hdr));
+        const BlockMsgHeader& hdr = *header;
         if (hdr.flags & kFlagStepSkipped) {
           // All my blocks for this step come from the one sender that just
           // gave up, so nothing further is in flight.
@@ -1029,12 +795,8 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
           }
           continue;
         }
-        std::size_t li = assign.local_of.at(hdr.block);
-        if (assign.block_values[li].size() != hdr.count)
-          throw std::runtime_error("pipeline: block message size mismatch");
-        auto& dst = assign.block_values[li];
-        unpack_values(hdr, msg, scratch,
-                      [&](std::size_t i, float v) { dst[i] = v; });
+        unpack_block(hdr, msg, scratch,
+                     assign.block_values[assign.local_of.at(hdr.block)]);
         --remaining;
       }
     }
@@ -1045,85 +807,20 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
         render_comm.allreduce_max(degraded ? 1.0 : 0.0) > 0.0;
     if (rr == 0 && step_degraded) pipe_counters().dropped_steps.add();
 
-    // --- local rendering ----------------------------------------------------
-    if (orbiting && s > 0) {
-      camera = st.camera(s);
-      recompute_order();
-    }
+    // --- local rendering, parallel compositing, image delivery ------------
     // Steering edits fold in at the step boundary: the first step rendered
     // at a new epoch picks up the edited camera and TF window everywhere.
-    if (steering && std::uint32_t(st.epoch_of(s)) != steer_epoch)
-      apply_steer(s);
-    WallTimer t;
-    std::vector<render::PartialImage> partials;
-    {
-      trace::Span render_span("pipeline", "render", s);
-      std::vector<std::uint32_t> orders(assign.owned.size());
-      // Per-block cost for the rebalancer: value install (macro ranges
-      // included) plus the summed wall time of the block's render tasks.
-      std::vector<double> block_secs(assign.owned.size(), 0.0);
-      for (std::size_t i = 0; i < assign.owned.size(); ++i) {
-        WallTimer bt;
-        assign.rblocks[i].set_values(assign.block_values[i]);
-        orders[i] = rank_of[assign.owned[i]];
-        block_secs[i] = bt.seconds();
-      }
-      partials = render::render_blocks(camera, rc, assign.rblocks, orders,
-                                       &render_pool, render::kRenderTile,
-                                       nullptr, block_secs.data());
-      for (std::size_t i = 0; i < assign.owned.size(); ++i)
-        epoch_costs[int(assign.owned[i])] += block_secs[i];
-    }
-    const double render_s = t.seconds();
-    render_time += render_s;
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(obs::lineage::Stage::kRender, s,
-                                std::uint32_t(st.epoch_of(s)),
-                                obs::lineage::ChannelKind::kRank, world.rank(),
-                                render_s);
-    }
-    t.reset();
-
-    // --- parallel compositing ----------------------------------------------
-    compositing::CompositeResult comp;
-    {
-      trace::Span composite_span("pipeline", "composite", s);
-      if (cfg.compositor == Compositor::kSlic) {
-        comp = compositing::slic(render_comm, partials, cfg.width, cfg.height,
-                                 cfg.compress_compositing, 0);
-      } else if (cfg.compositor == Compositor::kBinarySwap) {
-        comp = compositing::binary_swap(render_comm, partials, cfg.width,
-                                        cfg.height, cfg.compress_compositing,
-                                        0);
-      } else if (cfg.compositor == Compositor::kRadixK) {
-        comp = compositing::radix_k(render_comm, partials, cfg.width,
-                                    cfg.height, cfg.composite_k,
-                                    cfg.compress_compositing, 0);
-      } else {
-        comp = compositing::direct_send(render_comm, partials, cfg.width,
-                                        cfg.height, cfg.compress_compositing,
-                                        0);
-      }
-    }
-    const double composite_s = t.seconds();
-    composite_time += composite_s;
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(obs::lineage::Stage::kComposite, s,
-                                std::uint32_t(st.epoch_of(s)),
-                                obs::lineage::ChannelKind::kRank, world.rank(),
-                                composite_s);
-    }
-
-    // --- image delivery ----------------------------------------------------
-    if (rr == 0) {
-      world.isend(out_rank, tag_frame(s),
-                  make_frame_msg(s, step_degraded, comp.image.pixels()));
-    }
+    // Per-block costs are measured only for the rebalancer.
+    const auto times = stage.run(s, assign, step_degraded, rebalancing);
+    render_time += times.render_s;
+    composite_time += times.composite_s;
+    for (std::size_t i = 0; i < times.block_s.size(); ++i)
+      epoch_costs[int(assign.owned[i])] += times.block_s[i];
 
     // --- fine-grain dynamic load redistribution (§7) -----------------------
-    if (cfg.rebalance_every > 0 && s + 1 < st.num_steps &&
-        st.epoch_of(s + 1) > st.epoch_of(s)) {
-      int next_epoch = st.epoch_of(s + 1);
+    if (rebalancing && s + 1 < st.num_steps &&
+        st.view.epoch_of(s + 1) > st.view.epoch_of(s)) {
+      int next_epoch = st.view.epoch_of(s + 1);
       // Gather (block, cost) pairs at the render root.
       std::vector<std::uint8_t> packed;
       for (const auto& [block, cost] : epoch_costs) {
@@ -1180,7 +877,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
         new_owners.resize(wire.size() / sizeof(int));
         std::memcpy(new_owners.data(), wire.data(), wire.size());
       }
-      assign.rebuild(st, rr, std::move(new_owners));
+      assign.rebuild(*st.mesh, st.blocks, st.index, rr, std::move(new_owners));
       epoch_costs.clear();
     }
   }
@@ -1229,13 +926,13 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
       }
       if (!last_gray.empty()) {
         img::Image ground = render_ground_overlay(
-            st.camera(s), st.mesh->domain(), last_gray, cfg.lic_resolution,
-            cfg.lic_resolution);
+            st.view.camera(s), st.mesh->domain(), last_gray,
+            cfg.lic_resolution, cfg.lic_resolution);
         ground.composite_over(frame);  // volume image in front of LIC plane
         frame = std::move(ground);
       }
     }
-    out.emit(scope, std::uint32_t(st.epoch_of(s)), frame);
+    out.emit(scope, std::uint32_t(st.view.epoch_of(s)), frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   pipe_counters().degraded_frames.add(degraded_steps.size());
@@ -1253,9 +950,9 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
   PipelineConfig config = config_in;
   if (config.compositor == Compositor::kBinarySwap &&
       (config.render_procs & (config.render_procs - 1)) != 0) {
-    // binary_swap() itself aborts on a non-power-of-two communicator; route
-    // to radix-k with k=2 — the same swap structure generalized to any
-    // count, bit-identical output, no degradation to direct-send.
+    // Binary swap's pairing needs a power-of-two group; report what runs
+    // instead: radix-k with k=2, the same swap structure generalized to any
+    // count, bit-identical output.
     config.compositor = Compositor::kRadixK;
     config.composite_k = 2;
   }
@@ -1338,18 +1035,7 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
     const int r = world.rank();
     const int role = r < I ? 0 : (r < I + R ? 1 : 2);
 
-    if (trace::enabled()) {
-      // Replace the runtime's generic "rank N" label with the pipeline role
-      // so traces read as input/render/output lanes.
-      char tname[32];
-      if (role == 0)
-        std::snprintf(tname, sizeof(tname), "input %d", r);
-      else if (role == 1)
-        std::snprintf(tname, sizeof(tname), "render %d", r - I);
-      else
-        std::snprintf(tname, sizeof(tname), "output");
-      trace::set_thread(r, tname);
-    }
+    label_rank_thread(r, I, R, "input");
 
     vmpi::Comm sub = world.split(role, r);
     std::optional<vmpi::Comm> group_comm;

@@ -10,9 +10,11 @@
 //           surface LIC), and ship per-block node values to the renderers
 //           with buffered (non-blocking) sends.
 //   render: receive block values for the next step in the background while
-//           rendering the current one, raycast owned blocks, composite
-//           (SLIC or direct-send) across the render communicator, and send
-//           the finished frame to the output processor.
+//           rendering the current one, then hand them to the shared render
+//           stage (core/render_stage.hpp): raycast owned blocks, composite
+//           (SLIC, direct-send, or radix-k; binary-swap is radix-k with
+//           k = 2) across the render communicator, and send the finished
+//           frame to the output processor.
 //   output: composite the optional LIC ground layer under the volume image,
 //           then hand the frame to the shared output stage
 //           (core/output_stage.hpp): record interframe delay, optionally

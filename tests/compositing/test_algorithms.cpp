@@ -1,15 +1,15 @@
 // End-to-end equivalence of the parallel compositing algorithms: for any
 // distribution of ordered partial images across ranks, SLIC, direct-send
-// (with and without compression), and binary-swap (now the deferred-blend
-// k=2 radix-k) must all reproduce the serial reference compositor within
-// float tolerance. The bit-exact radix-k vs direct-send wall lives in
+// (with and without compression), and binary-swap (the deferred-blend k=2
+// radix-k) must all reproduce the serial reference compositor within float
+// tolerance. The bit-exact radix-k vs direct-send wall lives in
 // test_radix_k.cpp.
 #include <gtest/gtest.h>
 
 #include <mutex>
 
-#include "compositing/binary_swap.hpp"
 #include "compositing/direct_send.hpp"
+#include "compositing/radix_k.hpp"
 #include "compositing/slic.hpp"
 #include "render/partial_image.hpp"
 #include "util/rng.hpp"
@@ -74,6 +74,12 @@ struct Param {
   bool compress;
 };
 
+// gtest would otherwise print the struct's bytes, padding included, and
+// gtest_discover_tests copies the printed value into every ctest name.
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << p.ranks << (p.compress ? "_ranks_compressed" : "_ranks_raw");
+}
+
 class ScatterComposite : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ScatterComposite, DirectSendMatchesReference) {
@@ -120,8 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{4, false}, Param{8, false}, Param{2, true},
                       Param{4, true}, Param{8, true}));
 
-// Binary swap is now the k=2 radix-k specialization with deferred blending,
-// so it matches the reference on ANY distribution — including the shuffled
+// Binary swap is the k=2 radix-k specialization with deferred blending, so
+// it matches the reference on ANY distribution — including the shuffled
 // scattered one that used to require plane-separable regions.
 TEST(BinarySwap, MatchesReferenceOnScatteredPartition) {
   for (int ranks : {2, 4, 8}) {
@@ -131,19 +137,11 @@ TEST(BinarySwap, MatchesReferenceOnScatteredPartition) {
     img::Image got;
     vmpi::Runtime::run(ranks, [&](vmpi::Comm& comm) {
       auto result =
-          binary_swap(comm, dist[std::size_t(comm.rank())], kW, kH, false, 0);
+          radix_k(comm, dist[std::size_t(comm.rank())], kW, kH, 2, false, 0);
       if (comm.rank() == 0) got = std::move(result.image);
     });
     EXPECT_LT(img::rmse(expect, got), 1e-6) << "ranks " << ranks;
   }
-}
-
-TEST(BinarySwap, RejectsNonPowerOfTwo) {
-  EXPECT_THROW(vmpi::Runtime::run(3,
-                                  [&](vmpi::Comm& comm) {
-                                    binary_swap(comm, {}, kW, kH, false, 0);
-                                  }),
-               std::runtime_error);
 }
 
 TEST(Compression, ReducesTrafficOnSparsePartials) {

@@ -3,7 +3,7 @@
 // count (primes, 1, awkward composites), every k in {2,3,4,8}, with and
 // without active-pixel compression, on seeded random partial distributions
 // including all-empty and single-active-pixel edge partials. Binary-swap
-// (the k=2 specialization) joins the wall at power-of-two counts.
+// is the k=2 column.
 //
 // Alongside it: the corrupt-input fuzz for the active-pixel wire format —
 // every truncation point, every header bit flip, tampered-but-recrc'd
@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "compositing/binary_swap.hpp"
 #include "compositing/direct_send.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -209,16 +208,6 @@ void run_wall(int ranks) {
         SCOPED_TRACE("k=" + std::to_string(k) +
                      (compress ? " compressed" : " raw"));
         EXPECT_TRUE(bit_equal(expect, run_radix(dist, ranks, k, compress)));
-      }
-    }
-    if ((ranks & (ranks - 1)) == 0) {
-      for (bool compress : {false, true}) {
-        SCOPED_TRACE(compress ? "binary-swap compressed" : "binary-swap raw");
-        img::Image bs = run_collective(ranks, [&](vmpi::Comm& comm) {
-          return binary_swap(comm, dist[std::size_t(comm.rank())], kW, kH,
-                             compress, 0);
-        });
-        EXPECT_TRUE(bit_equal(expect, bs));
       }
     }
   }

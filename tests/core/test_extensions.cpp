@@ -275,39 +275,55 @@ TEST(Insitu, ProducesFramesWhileSimulating) {
 }
 
 TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
-  auto cfg = small_insitu();
-  std::vector<img::Image> frames;
-  run_insitu(cfg, &frames);
+  // The fixed overview camera, and an orbit rendered by a threaded pool:
+  // the render stage re-places the camera and visibility order every
+  // snapshot there.
+  auto orbiting = small_insitu();
+  orbiting.orbit_deg_per_step = 40.0f;
+  orbiting.render_threads = 3;
+  for (const InsituConfig& cfg : {small_insitu(), orbiting}) {
+    SCOPED_TRACE("orbit " + std::to_string(cfg.orbit_deg_per_step) +
+                 ", threads " + std::to_string(cfg.render_threads));
+    std::vector<img::Image> frames;
+    run_insitu(cfg, &frames);
+    ASSERT_EQ(frames.size(), std::size_t(cfg.snapshots));
 
-  // Re-run the identical (deterministic) simulation offline and render the
-  // state at the final snapshot with the serial machinery.
-  mesh::HexMesh mesh = build_insitu_mesh(cfg);
-  quake::WaveSolver solver(mesh, cfg.basin.field(), cfg.solver);
-  solver.add_source(cfg.source);
-  for (int k = 0; k < cfg.steps_per_snapshot * cfg.snapshots; ++k) {
-    solver.step();
+    // Re-run the identical (deterministic) simulation offline and render
+    // the state at every snapshot with the serial machinery.
+    mesh::HexMesh mesh = build_insitu_mesh(cfg);
+    quake::WaveSolver solver(mesh, cfg.basin.field(), cfg.solver);
+    solver.add_source(cfg.source);
+    auto blocks = octree::decompose(mesh.octree(), cfg.block_level);
+    octree::estimate_workloads(mesh.octree(), blocks,
+                               octree::WorkloadModel::kCellCount);
+    io::BlockNodeIndex index(mesh, blocks);
+    auto tf = render::TransferFunction::seismic();
+    for (int snap = 0; snap < cfg.snapshots; ++snap) {
+      for (int k = 0; k < cfg.steps_per_snapshot; ++k) solver.step();
+      auto scalar = io::derive_scalar(solver.velocity_interleaved(), 3,
+                                      cfg.variable);
+      auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
+      for (std::size_t i = 0; i < scalar.size(); ++i)
+        scalar[i] = q.dequantize(i);
+      std::vector<render::RenderBlock> rblocks;
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
+        std::vector<float> vals;
+        for (auto n : index.block_nodes(b)) vals.push_back(scalar[n]);
+        rblocks.back().set_values(std::move(vals));
+      }
+      auto cam = render::Camera::orbit(mesh.domain(), cfg.width, cfg.height,
+                                       cfg.orbit_deg_per_step * float(snap));
+      img::Image want = render::render_frame(cam, tf, cfg.render, rblocks,
+                                             blocks, mesh.domain());
+      EXPECT_LT(img::rmse(frames[std::size_t(snap)], want), 1e-5)
+          << "snapshot " << snap;
+    }
+    if (cfg.orbit_deg_per_step != 0.0f) {
+      // And the view actually moved between snapshots.
+      EXPECT_GT(img::rmse(frames[1], frames[2]), 1e-3);
+    }
   }
-  auto scalar = io::derive_scalar(solver.velocity_interleaved(), 3,
-                                  cfg.variable);
-  auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-  for (std::size_t i = 0; i < scalar.size(); ++i) scalar[i] = q.dequantize(i);
-
-  auto blocks = octree::decompose(mesh.octree(), cfg.block_level);
-  octree::estimate_workloads(mesh.octree(), blocks,
-                             octree::WorkloadModel::kCellCount);
-  io::BlockNodeIndex index(mesh, blocks);
-  std::vector<render::RenderBlock> rblocks;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-    std::vector<float> vals;
-    for (auto n : index.block_nodes(b)) vals.push_back(scalar[n]);
-    rblocks.back().set_values(std::move(vals));
-  }
-  auto tf = render::TransferFunction::seismic();
-  auto cam = render::Camera::overview(mesh.domain(), cfg.width, cfg.height);
-  img::Image want = render::render_frame(cam, tf, cfg.render, rblocks, blocks,
-                                         mesh.domain());
-  EXPECT_LT(img::rmse(frames.back(), want), 1e-5);
 }
 
 TEST(Insitu, ParallelSimulationGroupMatchesSingleSimRank) {

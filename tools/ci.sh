@@ -234,8 +234,10 @@ tsan() {
       test_control test_steer
   # TSAN_OPTIONS halt_on_error makes a data-race report a hard failure.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_vmpi
+  # In situ runs the shared render stage: the threaded render pool and the
+  # SLIC exchange, fed by the solver root.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pipeline \
-      --gtest_filter='FaultPipelineTest.*'
+      --gtest_filter='FaultPipelineTest.*:Insitu.*'
   # TraceOverlapTest is a timing experiment (deliberate I/O delays); the
   # mechanics it relies on are covered by the remaining trace tests.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_trace \

@@ -140,6 +140,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -343,34 +344,85 @@ void track_server_report(metrics::RunReport& rr,
            double(sr.peak_client_queue_bytes), "bytes");
 }
 
-// --- frame lineage + SLO flags ---------------------------------------------
+// The observability outputs of one run: --trace, --metrics-json,
+// --metrics-prom and --lineage (see the header; serve and replay take only
+// --metrics-json and --lineage).
+struct RunOutputs {
+  explicit RunOutputs(const Args& args)
+      : trace_path(args.str("trace", "")),
+        metrics_json(args.str("metrics-json", "")),
+        metrics_prom(args.str("metrics-prom", "")),
+        lineage_path(args.str("lineage", "")) {}
+
+  // Before the run: arm every requested recorder.
+  void arm() const {
+    if (!trace_path.empty()) trace::enable();
+    if (!metrics_json.empty() || !metrics_prom.empty()) metrics::enable();
+    if (lineage_path.empty()) return;
+    obs::lineage::set_dump_path(lineage_path);
+    obs::lineage::enable();
+    obs::lineage::install_fault_observer();
+  }
+
+  // After the run: write the trace (its collected ranks then go to
+  // `on_trace`), the run report of `kind` with the values `fill` tracks,
+  // the Prometheus text, and the lineage dump. Returns the exit code.
+  int finish(
+      const char* kind,
+      const std::function<void(metrics::RunReport&)>& fill,
+      const std::function<void(const std::vector<trace::ThreadTrace>&)>&
+          on_trace = {}) const {
+    if (!trace_path.empty()) {
+      trace::disable();
+      auto traces = trace::collect();
+      // Lineage rides along as async waterfall events: every frame id
+      // becomes a "b"/"n"/"e" group next to the spans that produced it.
+      if (!trace::write_chrome_json(trace_path, traces,
+                                    obs::lineage::chrome_fragment())) {
+        std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
+        return 1;
+      }
+      std::printf("trace: %zu ranks -> %s\n", traces.size(),
+                  trace_path.c_str());
+      if (on_trace) on_trace(traces);
+    }
+    if (!metrics_json.empty() || !metrics_prom.empty()) {
+      metrics::RunReport rr;
+      rr.kind = kind;
+      fill(rr);
+      rr.snapshot = metrics::collect();
+      metrics::disable();
+      if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
+        return 1;
+      if (!metrics_prom.empty() &&
+          !metrics::write_prometheus_file(metrics_prom, rr.snapshot))
+        return 1;
+      if (!metrics_json.empty())
+        std::printf("metrics: run report -> %s\n", metrics_json.c_str());
+      if (!metrics_prom.empty())
+        std::printf("metrics: prometheus dump -> %s\n", metrics_prom.c_str());
+    }
+    if (lineage_path.empty()) return 0;
+    // End-of-run dump to the same file a mid-run fault would have written;
+    // a fault dump that already happened is superseded by this complete one.
+    if (!obs::lineage::dump_now("end_of_run")) {
+      std::fprintf(stderr, "cannot write lineage dump %s\n",
+                   lineage_path.c_str());
+      return 1;
+    }
+    std::printf("lineage: flight recorder -> %s\n", lineage_path.c_str());
+    return 0;
+  }
+
+  std::string trace_path, metrics_json, metrics_prom, lineage_path;
+};
+
+// --- SLO flags --------------------------------------------------------------
 // Shared by pipeline, insitu, serve, and replay:
-//   --lineage=FILE.json  arm the flight recorder; dump at end of run (and on
-//                        a fault-plan rank kill / world abort / client
-//                        eviction, via the installed observers).
 //   --slo-p95=S          SLO: max acceptable p95 end-to-end frame latency.
 //   --slo-drop=R         SLO: max acceptable drop rate dropped/(sent+dropped).
 // Either --slo-* flag adds the pass/fail "slo" block to the run report
 // (requires --metrics-json; the unspecified bound defaults to 1 s / 0.1).
-
-void arm_lineage(const std::string& path) {
-  if (path.empty()) return;
-  obs::lineage::set_dump_path(path);
-  obs::lineage::enable();
-  obs::lineage::install_fault_observer();
-}
-
-// End-of-run dump to the same file a mid-run fault would have written; a
-// fault dump that already happened is superseded by this complete one.
-int finish_lineage(const std::string& path) {
-  if (path.empty()) return 0;
-  if (!obs::lineage::dump_now("end_of_run")) {
-    std::fprintf(stderr, "cannot write lineage dump %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("lineage: flight recorder -> %s\n", path.c_str());
-  return 0;
-}
 
 // Exact order statistic, same convention as ClientReport::p95_latency_s.
 double pooled_percentile(std::vector<double> v, std::size_t p) {
@@ -447,8 +499,8 @@ double server_drop_rate(const stream::ServerReport& sr) {
   return total > 0.0 ? double(sr.frames_dropped) / total : 0.0;
 }
 
-// SLO inputs for pipeline/insitu: the serve fleet (an empty report when
-// none is attached).
+// SLO inputs from a delivery server's report (pipeline and insitu: an empty
+// report when no fleet is attached).
 void apply_run_slo(metrics::RunReport& rr, const SloRequest& slo,
                    const stream::ServerReport& server) {
   if (!slo.requested) return;
@@ -672,71 +724,45 @@ int cmd_pipeline(const Args& args) {
     fault().kill_at_step = args.num("fault-kill-step", 0);
   }
 
-  const std::string trace_path = args.str("trace", "");
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string metrics_prom = args.str("metrics-prom", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty();
+  const RunOutputs outputs(args);
+  const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
   // Required flags are checked last so a malformed value (e.g.
   // --render-threads=abc) is diagnosed even when --dataset is absent.
   cfg.dataset_dir = args.require("dataset");
-  if (!trace_path.empty()) trace::enable();
-  if (want_metrics) metrics::enable();
-  arm_lineage(lineage_path);
+  outputs.arm();
 
   auto report = core::run_pipeline(cfg);
 
-  if (!trace_path.empty()) {
-    trace::disable();
-    auto traces = trace::collect();
-    // Lineage rides along as async waterfall events: every frame id becomes
-    // a "b"/"n"/"e" group next to the spans that produced it.
-    if (!trace::write_chrome_json(trace_path, traces,
-                                  obs::lineage::chrome_fragment())) {
-      std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace: %zu ranks -> %s\n", traces.size(), trace_path.c_str());
-    std::printf("%s\n", trace::format_overlap(
-                            trace::analyze_overlap(traces)).c_str());
-    auto whole = trace::rank_activity(traces);
-    auto steady = trace::rank_activity(traces, {.steady_only = true});
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      std::printf("  %-10s occupancy %5.1f%% (steady %5.1f%%)\n",
-                  whole[i].name.c_str(), 100.0 * whole[i].occupancy,
-                  i < steady.size() ? 100.0 * steady[i].occupancy : 0.0);
-    }
-  }
-  if (want_metrics) {
-    metrics::RunReport rr;
-    rr.kind = "pipeline";
-    rr.track("interframe_s", report.avg_interframe, "s");
-    rr.track("fetch_s", report.avg_fetch, "s");
-    rr.track("preprocess_s", report.avg_preprocess, "s");
-    rr.track("send_s", report.avg_send, "s");
-    rr.track("render_s", report.avg_render, "s");
-    rr.track("composite_s", report.avg_composite, "s");
-    rr.track("composite_bytes", double(report.composite_bytes), "bytes");
-    rr.track("block_bytes_sent", double(report.block_bytes_sent), "bytes");
-    if (cfg.serve.enabled) {
-      track_server_report(rr, report.server);
-      fill_e2e_from_server(rr, report.server);
-    }
-    apply_run_slo(rr, slo, report.server);
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
-      return 1;
-    if (!metrics_prom.empty() &&
-        !metrics::write_prometheus_file(metrics_prom, rr.snapshot))
-      return 1;
-    if (!metrics_json.empty())
-      std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-    if (!metrics_prom.empty())
-      std::printf("metrics: prometheus dump -> %s\n", metrics_prom.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+  const int rc = outputs.finish(
+      "pipeline",
+      [&](metrics::RunReport& rr) {
+        rr.track("interframe_s", report.avg_interframe, "s");
+        rr.track("fetch_s", report.avg_fetch, "s");
+        rr.track("preprocess_s", report.avg_preprocess, "s");
+        rr.track("send_s", report.avg_send, "s");
+        rr.track("render_s", report.avg_render, "s");
+        rr.track("composite_s", report.avg_composite, "s");
+        rr.track("composite_bytes", double(report.composite_bytes), "bytes");
+        rr.track("block_bytes_sent", double(report.block_bytes_sent),
+                 "bytes");
+        if (cfg.serve.enabled) {
+          track_server_report(rr, report.server);
+          fill_e2e_from_server(rr, report.server);
+        }
+        apply_run_slo(rr, slo, report.server);
+      },
+      [](const std::vector<trace::ThreadTrace>& traces) {
+        std::printf("%s\n", trace::format_overlap(
+                                trace::analyze_overlap(traces)).c_str());
+        auto whole = trace::rank_activity(traces);
+        auto steady = trace::rank_activity(traces, {.steady_only = true});
+        for (std::size_t i = 0; i < whole.size(); ++i) {
+          std::printf("  %-10s occupancy %5.1f%% (steady %5.1f%%)\n",
+                      whole[i].name.c_str(), 100.0 * whole[i].occupancy,
+                      i < steady.size() ? 100.0 * steady[i].occupancy : 0.0);
+        }
+      });
+  if (rc != 0) return rc;
   std::printf("frames: %d  interframe %.4f s\n", report.steps,
               report.avg_interframe);
   if (cfg.serve.enabled) print_server_report(report.server);
@@ -792,29 +818,11 @@ int cmd_insitu(const Args& args) {
     std::filesystem::create_directories(cfg.output_dir);
   parse_serve_flags(args, cfg.serve);
   parse_steer_flags(args, cfg.steer);
-  const std::string trace_path = args.str("trace", "");
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string metrics_prom = args.str("metrics-prom", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty();
-  if (!trace_path.empty()) trace::enable();
-  if (want_metrics) metrics::enable();
-  arm_lineage(lineage_path);
+  const RunOutputs outputs(args);
+  const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
+  outputs.arm();
   auto report = core::run_insitu(cfg);
-  if (!trace_path.empty()) {
-    trace::disable();
-    auto traces = trace::collect();
-    if (!trace::write_chrome_json(trace_path, traces,
-                                  obs::lineage::chrome_fragment())) {
-      std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace: %zu ranks -> %s\n", traces.size(), trace_path.c_str());
-  }
-  if (want_metrics) {
-    metrics::RunReport rr;
-    rr.kind = "insitu";
+  const int rc = outputs.finish("insitu", [&](metrics::RunReport& rr) {
     double frame_total = 0.0;
     for (double s : report.frame_seconds) frame_total += s;
     rr.track("sim_s", report.sim_seconds, "s");
@@ -825,19 +833,8 @@ int cmd_insitu(const Args& args) {
       fill_e2e_from_server(rr, report.server);
     }
     apply_run_slo(rr, slo, report.server);
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
-      return 1;
-    if (!metrics_prom.empty() &&
-        !metrics::write_prometheus_file(metrics_prom, rr.snapshot))
-      return 1;
-    if (!metrics_json.empty())
-      std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-    if (!metrics_prom.empty())
-      std::printf("metrics: prometheus dump -> %s\n", metrics_prom.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+  });
+  if (rc != 0) return rc;
   std::printf("simulated %.1f s in %.2f s; %d frames\n",
               report.sim_time_reached, report.sim_seconds, report.snapshots);
   if (cfg.serve.enabled) print_server_report(report.server);
@@ -878,10 +875,8 @@ int cmd_serve_steered(const Args& args) {
         args.num("steer-edits", 4), /*allow_scrub=*/true);
   }
 
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string lineage_path = args.str("lineage", "");
-  if (!metrics_json.empty()) metrics::enable();
-  arm_lineage(lineage_path);
+  const RunOutputs outputs(args);
+  outputs.arm();
 
   auto rep = stream::run_steer_loop(cfg);
 
@@ -891,9 +886,7 @@ int cmd_serve_steered(const Args& args) {
   auto fresh = rep.edit_to_fresh_s;
   const double p50 = pooled_percentile(fresh, 50);
   const double p95 = pooled_percentile(fresh, 95);
-  if (!metrics_json.empty()) {
-    metrics::RunReport rr;
-    rr.kind = "serve-steer";
+  const int rc = outputs.finish("serve-steer", [&](metrics::RunReport& rr) {
     track_server_report(rr, rep.server);
     rr.track("steer_edits_applied", double(rep.edits_applied), "edits");
     rr.track("steer_renders", double(rep.renders), "frames");
@@ -902,12 +895,8 @@ int cmd_serve_steered(const Args& args) {
     rr.track("steer_wasted_render_ratio", wasted, "ratio");
     rr.track("steer_edit_to_fresh_p50_s", p50, "s");
     rr.track("steer_edit_to_fresh_p95_s", p95, "s");
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+  });
+  if (rc != 0) return rc;
   print_server_report(rep.server);
   std::printf(
       "steer: %llu edits applied | %llu renders (%llu cancelled, %.0f%% "
@@ -966,32 +955,19 @@ int cmd_serve(const Args& args) {
   }
   cfg.server.queue_budget_bytes =
       std::size_t(args.real("budget", double(1u << 20)));
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  if (!metrics_json.empty()) metrics::enable();
-  arm_lineage(lineage_path);
+  const RunOutputs outputs(args);
+  const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
+  outputs.arm();
 
   auto result = stream::run_chaos(cfg);
 
-  if (!metrics_json.empty()) {
-    metrics::RunReport rr;
-    rr.kind = "serve";
+  const int rc = outputs.finish("serve", [&](metrics::RunReport& rr) {
     track_server_report(rr, result.report);
     rr.track("serve_fast_p95_s", result.fast_p95_s, "s");
     fill_e2e_from_server(rr, result.report);
-    if (slo.requested) {
-      rr.slo = judge_slo(slo,
-                         pooled_percentile(server_latencies(result.report), 95),
-                         server_drop_rate(result.report));
-      print_slo(*rr.slo);
-    }
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+    apply_run_slo(rr, slo, result.report);
+  });
+  if (rc != 0) return rc;
   print_server_report(result.report);
   std::printf("serve: fast-client p95 latency %.4f s\n", result.fast_p95_s);
   std::printf("serve: run digest %s\n", result.digest.c_str());
@@ -1028,17 +1004,13 @@ int cmd_replay(const Args& args) {
   cfg.link.latency_s = args.real("latency-ms", 20.0) / 1000.0;
   cfg.interval_s = args.real("interval-ms", 10.0) / 1000.0;
   cfg.verify = !args.flag("no-verify");
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  if (!metrics_json.empty()) metrics::enable();
-  arm_lineage(lineage_path);
+  const RunOutputs outputs(args);
+  const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
+  outputs.arm();
 
   auto rep = stream::run_replay(cfg);
 
-  if (!metrics_json.empty()) {
-    metrics::RunReport rr;
-    rr.kind = "replay";
+  const int rc = outputs.finish("replay", [&](metrics::RunReport& rr) {
     rr.track("replay_requests", double(rep.requests), "requests");
     rr.track("replay_renders", double(rep.renders), "frames");
     rr.track("replay_cache_served", double(rep.cache_served), "frames");
@@ -1061,12 +1033,8 @@ int cmd_replay(const Args& args) {
       rr.slo = judge_slo(slo, rep.e2e_p95_s, 0.0);
       print_slo(*rr.slo);
     }
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+  });
+  if (rc != 0) return rc;
   std::printf(
       "replay: %llu requests | %llu rendered | %llu cache-served | "
       "%.2f MB shipped | %llu delivered\n",
