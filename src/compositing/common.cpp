@@ -100,34 +100,42 @@ void pack_piece(const Piece& piece, bool compress,
   std::memcpy(buf.data() + header_pos, &h, sizeof(h));
 }
 
-std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf) {
+std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf,
+                                 int max_width, int max_height) {
   std::vector<Piece> out;
   std::size_t pos = 0;
   while (pos + sizeof(PieceHeader) <= buf.size()) {
     PieceHeader h;
     std::memcpy(&h, buf.data() + pos, sizeof(h));
     pos += sizeof(h);
+    // Only the first header of a message lies in the transport's trusted
+    // prefix: bound every rect by the image and every payload by the
+    // message before sizing anything from them.
+    if (h.x0 < 0 || h.y0 < 0 || h.x1 < h.x0 || h.y1 < h.y0 ||
+        h.x1 > max_width || h.y1 > max_height)
+      throw std::runtime_error("compositing: piece rect outside the image");
+    if (h.payload_bytes > buf.size() - pos)
+      throw std::runtime_error("compositing: truncated piece payload");
     Piece p;
     p.order = h.order;
     p.rect = {h.x0, h.y0, h.x1, h.y1};
     std::size_t count = std::size_t(p.rect.width()) * std::size_t(p.rect.height());
-    if (pos + h.payload_bytes > buf.size())
-      throw std::runtime_error("compositing: truncated piece payload");
+    if (!h.compressed && count * sizeof(img::Rgba) != h.payload_bytes)
+      throw std::runtime_error("compositing: piece payload size mismatch");
     p.pixels.resize(count);
     if (h.compressed) {
       auto used = img::rle_decode(buf.first(pos + h.payload_bytes), pos,
                                   p.pixels);
-      if (!used)
+      if (!used || *used != h.payload_bytes)
         throw std::runtime_error("compositing: corrupt RLE piece");
-      pos += h.payload_bytes;
     } else {
-      if (count * sizeof(img::Rgba) != h.payload_bytes)
-        throw std::runtime_error("compositing: piece payload size mismatch");
-      std::memcpy(p.pixels.data(), buf.data() + pos, count * sizeof(img::Rgba));
-      pos += h.payload_bytes;
+      std::memcpy(p.pixels.data(), buf.data() + pos, h.payload_bytes);
     }
+    pos += h.payload_bytes;
     out.push_back(std::move(p));
   }
+  if (pos != buf.size())
+    throw std::runtime_error("compositing: truncated piece header");
   return out;
 }
 

@@ -53,8 +53,11 @@ Piece extract_piece(const PartialImage& partial, ScreenRect rect);
 // Append a serialized piece to `buf`; `compress` selects RLE pixel payload.
 void pack_piece(const Piece& piece, bool compress, std::vector<std::uint8_t>& buf);
 
-// Unpack all pieces in a message.
-std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf);
+// Unpack all pieces in a message. Piece rects must lie inside a
+// max_width x max_height image; a malformed piece throws a "compositing:"
+// std::runtime_error before anything is sized from it.
+std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf,
+                                 int max_width, int max_height);
 
 // --- active-pixel wire format (radix-k / binary-swap exchange) --------------
 //

@@ -60,7 +60,7 @@ CompositeResult direct_send(vmpi::Comm& comm,
     for (int r = 0; r < P; ++r) {
       std::vector<std::uint8_t> msg;
       comm.recv(r, kTagPieces, msg);
-      auto got = unpack_pieces(msg);
+      auto got = unpack_pieces(msg, width, height);
       for (auto& p : got) pieces.push_back(std::move(p));
     }
   }
@@ -96,7 +96,7 @@ CompositeResult direct_send(vmpi::Comm& comm,
       if (r == root) continue;
       std::vector<std::uint8_t> msg;
       comm.recv(r, kTagStrip, msg);
-      for (const Piece& piece : unpack_pieces(msg)) paste(piece);
+      for (const Piece& piece : unpack_pieces(msg, width, height)) paste(piece);
     }
   } else {
     std::vector<std::uint8_t> msg;

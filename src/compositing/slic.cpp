@@ -155,7 +155,7 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
     if (r == me) continue;
     std::vector<std::uint8_t> msg;
     comm.recv(r, kTagSpanData, msg);
-    auto got = unpack_pieces(msg);
+    auto got = unpack_pieces(msg, width, height);
     for (auto& p : got) incoming.push_back(std::move(p));
   }
   }  // slic_exchange
@@ -217,7 +217,7 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   }
   result.image = img::Image(width, height);
   auto paste = [&](std::span<const std::uint8_t> msg) {
-    auto pieces = unpack_pieces(msg);
+    auto pieces = unpack_pieces(msg, width, height);
     for (const Piece& p : pieces) {
       for (int x = p.rect.x0; x < p.rect.x1; ++x) {
         result.image.at(x, p.rect.y0) = p.pixels[std::size_t(x - p.rect.x0)];

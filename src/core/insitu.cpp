@@ -61,6 +61,7 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
                                    sim_comm);
   solver.add_source(cfg.source);
   const bool streamer = sim_comm.rank() == 0;
+  const std::vector<BlockMsgSpec> msgs = per_block_msgs(st.index, st.owners);
 
   double sim_seconds = 0.0;
   double sim_time = 0.0;
@@ -80,16 +81,8 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
     auto vel = solver.velocity_interleaved();
     auto scalar = io::derive_scalar(vel, 3, cfg.variable);
     auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-    std::vector<std::uint8_t> values;
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      auto nodes = st.index.block_nodes(b);
-      values.resize(nodes.size());
-      for (std::size_t i = 0; i < nodes.size(); ++i)
-        values[i] = q.values[nodes[i]];
-      world.isend(cfg.sim_procs + st.owners[b], tag_block(snap),
-                  make_block_msg(snap, b, q.lo, q.hi, values, false, nullptr,
-                                 nullptr));
-    }
+    send_block_msgs(world, cfg.sim_procs, snap, q, msgs, false, nullptr,
+                    nullptr);
   }
   if (streamer) {
     std::lock_guard lk(sh.mu);
@@ -116,7 +109,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
         world.recv(vmpi::kAnySource, tag_block(snap), msg);
       }
       // No fault layer runs here, so a bad message is a bug, not a loss.
-      const auto hdr = read_header<BlockMsgHeader>(msg);
+      const auto hdr = read_header(msg);
       if (!hdr || !payload_ok(*hdr, msg))
         throw std::runtime_error("insitu: bad block message");
       unpack_block(*hdr, msg, scratch,

@@ -1,11 +1,13 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "core/block_msg.hpp"
@@ -39,28 +41,13 @@ constexpr int kTagDone = 5;  // renderer -> input: no more NACKs will come
 // the worst case (every resend corrupted again) instead of looping forever.
 constexpr int kMaxNacksPerStep = 4;
 
-// 2DIP-independent: one group member's slice for one renderer, in forward-map
-// order. Same layout and framing as BlockMsgHeader.
-struct SliceMsgHeader {
-  std::int32_t step;
-  std::int32_t member;
-  float lo, hi;
-  std::uint32_t count;
-  std::uint32_t payload;
-  std::uint32_t crc;
-  std::uint8_t compressed;
-  std::uint8_t flags;
-  std::uint8_t pad[2];
-};
-static_assert(sizeof(SliceMsgHeader) == 32);
-
 // (The render root -> output processor frame hop uses the shared
 // make_frame_msg/parse_frame_msg helper from core/frame_msg.hpp.)
 
 // Renderer -> input (kTagNack): please resend.
 struct NackMsg {
   std::int32_t step;
-  std::int32_t block;  // global block id, or -1 for a 2DIP slice message
+  std::int32_t id;  // the NACKed message's header id
 };
 
 // Stats shared across the rank threads (joined before run_pipeline returns).
@@ -143,24 +130,11 @@ struct Setup {
   }
 
   std::uint64_t level_offset() const { return reader.level_offset_bytes(level); }
-  std::uint64_t level_floats() const {
-    return reader.level_bytes(level) / sizeof(float);
+  std::uint64_t level_nodes() const {
+    return reader.level_bytes(level) / reader.node_record_bytes();
   }
+  std::size_t comps() const { return std::size_t(reader.meta().components); }
 };
-
-std::vector<float> read_level_at(vmpi::Comm& comm, const Setup& st,
-                                 const std::string& path, std::uint64_t first,
-                                 std::uint64_t count_floats) {
-  // Transient-retry accounting happens inside vmpi::File (the io.retries
-  // counter increments as each retry fires), so a throw loses nothing.
-  vmpi::File f(comm, path);
-  f.set_retry_policy(st.cfg.io_retry);
-  std::vector<float> data(count_floats);
-  f.read_at(st.level_offset() + first * sizeof(float),
-            {reinterpret_cast<std::uint8_t*>(data.data()),
-             count_floats * sizeof(float)});
-  return data;
-}
 
 // ---------------------------------------------------------------------------
 // Input processors
@@ -185,40 +159,35 @@ struct InputStats {
   }
 };
 
-// Ship per-block quantized values to the renderers under the given
-// assignment (1DIP and 2DIP-collective use the same message format).
-void send_blocks(vmpi::Comm& world, Shared& sh, const Setup& st, int step,
-                 const io::QuantizedField& q,
-                 std::span<const std::size_t> block_ids,
-                 std::span<const int> owners) {
-  const PipelineConfig& cfg = sh.config;
-  const int I = cfg.total_input_procs();
-  std::vector<std::uint8_t> values;
-  std::uint64_t raw = 0, sent = 0;
-  for (std::size_t b : block_ids) {
-    auto nodes = st.index.block_nodes(b);
-    values.resize(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) values[i] = q.values[nodes[i]];
-    world.isend(I + owners[b], tag_block(step),
-                make_block_msg(step, b, q.lo, q.hi, values, cfg.compress_blocks,
-                               &raw, &sent));
+// The node records of one step, plus its neighbours' when enhancing: the
+// inputs of the §4.2 temporal enhancement.
+struct StepWindow {
+  std::vector<float> cur, prev, next;
+};
+
+// Read `step`, then s-1 and s+1 when enhancing, each with `read(step)`.
+// The first read that fails throws and leaves the rest unread.
+template <typename Read>
+StepWindow read_window(const Setup& st, int step, Read&& read) {
+  StepWindow w;
+  w.cur = read(step);
+  if (st.cfg.enhancement) {
+    if (step > 0) w.prev = read(step - 1);
+    if (step + 1 < st.reader.meta().num_steps) w.next = read(step + 1);
   }
-  pipe_counters().block_bytes_raw.add(raw);
-  pipe_counters().block_bytes_sent.add(sent);
+  return w;
 }
 
 // Scalar derivation from interleaved records, with optional temporal
 // enhancement from neighbor-step buffers.
 std::vector<float> make_scalar(const PipelineConfig& cfg, const Setup& st,
-                               std::span<const float> cur,
-                               std::span<const float> prev,
-                               std::span<const float> next) {
+                               const StepWindow& w) {
   const int comps = st.reader.meta().components;
-  auto scalar = io::derive_scalar(cur, comps, cfg.variable);
+  auto scalar = io::derive_scalar(w.cur, comps, cfg.variable);
   if (!cfg.enhancement) return scalar;
   std::vector<float> pm, nm;
-  if (!prev.empty()) pm = io::derive_scalar(prev, comps, cfg.variable);
-  if (!next.empty()) nm = io::derive_scalar(next, comps, cfg.variable);
+  if (!w.prev.empty()) pm = io::derive_scalar(w.prev, comps, cfg.variable);
+  if (!w.next.empty()) nm = io::derive_scalar(w.next, comps, cfg.variable);
   return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
 }
 
@@ -249,10 +218,9 @@ void input_lic(vmpi::Comm& world, const PipelineConfig& cfg, const Setup& st,
 // waiting on it.
 struct InputControl {
   vmpi::Comm& world;
-  // Regenerate and resend the payload a renderer NACKed. block < 0 means
-  // "your slice message" (2DIP-independent). Must not throw: a failed
-  // regeneration is answered with a skip marker instead.
-  std::function<void(int step, int block, int requester)> service_nack;
+  // Regenerate and resend the message a renderer NACKed. Must not throw: a
+  // failed regeneration is answered with a skip marker instead.
+  std::function<void(int step, int id, int requester)> service_nack;
   std::map<int, std::vector<int>> assignments{};  // epoch -> owners
   int done_count = 0;
 
@@ -264,7 +232,7 @@ struct InputControl {
       if (buf.size() != sizeof(nack))
         throw std::runtime_error("pipeline: malformed NACK message");
       std::memcpy(&nack, buf.data(), sizeof(nack));
-      service_nack(nack.step, nack.block, st.source);
+      service_nack(nack.step, nack.id, st.source);
       // Counted as it happens, so a mid-run kill keeps whatever was
       // already serviced.
       pipe_counters().resends.add();
@@ -294,359 +262,222 @@ struct InputControl {
   }
 };
 
-void run_input_1dip(Shared& sh, const Setup& st, vmpi::Comm& world,
-                    int input_index) {
-  const PipelineConfig& cfg = sh.config;
-  const int m = cfg.input_procs;
-  const int I = cfg.total_input_procs();
-  std::optional<lic::Quadtree> qt;
-  std::vector<std::size_t> all_blocks(st.blocks.size());
-  for (std::size_t b = 0; b < all_blocks.size(); ++b) all_blocks[b] = b;
+// How an input rank reads a step's node records: nodes [first, first +
+// count) of the level by one independent read (1DIP: the whole level;
+// 2DIP-independent: the member's contiguous slice), or, with `group` set,
+// the collective indexed view of `nodes` on the group communicator
+// (2DIP-collective). Either way the records come back interleaved, in the
+// order of the rank's node array. Transient-retry accounting happens
+// inside vmpi::File (io.retries counts each retry as it fires), so a throw
+// loses nothing.
+struct StepReader {
+  vmpi::Comm* group = nullptr;
+  std::uint64_t first = 0, count = 0;
+  std::vector<mesh::NodeId> nodes;
+  vmpi::IndexedBlockView view;
 
-  std::vector<int> owners = st.owners;
+  std::vector<float> read(vmpi::Comm& world, const Setup& st, int step) const {
+    vmpi::File f(group ? *group : world, st.reader.step_path(step));
+    f.set_retry_policy(st.cfg.io_retry);
+    std::vector<float> data((group ? nodes.size() : count) * st.comps());
+    const std::span out(reinterpret_cast<std::uint8_t*>(data.data()),
+                        data.size() * sizeof(float));
+    if (group) {
+      f.set_view(view);
+      f.read_all(out);
+    } else {
+      f.read_at(st.level_offset() + first * st.comps() * sizeof(float), out);
+    }
+    return data;
+  }
+
+  // The records at `positions` of the node array, for a NACK resend. A
+  // resend must never enter a collective (the rest of the group is not
+  // listening), so the collective reader re-reads those nodes one by one.
+  std::vector<float> reread(vmpi::Comm& world, const Setup& st, int step,
+                            std::span<const std::uint32_t> positions) const {
+    const std::size_t comps = st.comps();
+    std::vector<float> out(positions.size() * comps);
+    if (!group) {
+      const std::vector<float> all = read(world, st, step);
+      for (std::size_t i = 0; i < positions.size(); ++i)
+        std::copy_n(&all[positions[i] * comps], comps, &out[i * comps]);
+      return out;
+    }
+    vmpi::File f(world, st.reader.step_path(step));
+    f.set_retry_policy(st.cfg.io_retry);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      f.read_at(st.level_offset() +
+                    std::uint64_t(nodes[positions[i]]) * comps * sizeof(float),
+                {reinterpret_cast<std::uint8_t*>(&out[i * comps]),
+                 comps * sizeof(float)});
+    }
+    return out;
+  }
+};
+
+// What an input rank reads of each step and the ordered messages it ships
+// from it. Built once from the static mesh, and again when a rebalance
+// epoch moves the block owners.
+struct InputPlan {
+  StepReader reader;
+  std::vector<BlockMsgSpec> msgs;
+  std::set<int> serves;  // renderers with a message
+  // Header id of this rank's skip markers: -1 when one sender serves a
+  // renderer's whole step; under 2DIP-independent the member's id, since
+  // its marker stands for its share only.
+  std::int32_t skip_id = -1;
+};
+
+// `group` spans this rank's 2DIP group; null under 1DIP.
+InputPlan make_input_plan(const Setup& st, vmpi::Comm* group,
+                          std::span<const int> owners) {
+  const PipelineConfig& cfg = st.cfg;
+  InputPlan p;
+  switch (cfg.strategy) {
+    case IoStrategy::kOneDip:
+      p.reader.count = st.level_nodes();
+      p.msgs = per_block_msgs(st.index, owners);
+      break;
+    case IoStrategy::kTwoDipCollective: {
+      // This member serves render procs {r : r % m == mi}; its view is their
+      // blocks' merged node list, which every block's positions index.
+      std::vector<std::size_t> mine;
+      for (std::size_t b = 0; b < st.blocks.size(); ++b)
+        if (owners[b] % cfg.input_procs == group->rank()) mine.push_back(b);
+      StepReader& rd = p.reader;
+      rd.group = group;
+      rd.nodes = io::merged_nodes(st.index, mine);
+      rd.view.elem_bytes = st.comps() * sizeof(float);
+      const std::uint64_t base_elems = st.level_offset() / rd.view.elem_bytes;
+      for (auto nid : rd.nodes) rd.view.block_offsets.push_back(base_elems + nid);
+      for (std::size_t b : mine) {
+        auto& pos = p.msgs.emplace_back(owners[b], std::int32_t(b)).positions;
+        auto it = rd.nodes.begin();  // both lists are sorted
+        for (mesh::NodeId n : st.index.block_nodes(b)) {
+          it = std::lower_bound(it, rd.nodes.end(), n);
+          pos.push_back(std::uint32_t(it - rd.nodes.begin()));
+        }
+      }
+      break;
+    }
+    case IoStrategy::kTwoDipIndependent: {
+      // One message to every renderer: its share of this member's slice, in
+      // forward-map order (grouped by block ascending, then block position).
+      const std::int32_t mi = group->rank();
+      auto [lo, hi] = io::slice_bounds(st.level_nodes(), mi, cfg.input_procs);
+      p.reader.first = lo;
+      p.reader.count = hi - lo;
+      p.skip_id = mi;
+      for (int r = 0; r < cfg.render_procs; ++r) p.msgs.emplace_back(r, mi);
+      for (const auto& e : io::build_forward_map(st.index, lo, hi))
+        p.msgs[std::size_t(owners[e.block])].positions.push_back(e.slice_pos);
+      break;
+    }
+  }
+  for (const BlockMsgSpec& m : p.msgs) p.serves.insert(m.renderer);
+  return p;
+}
+
+// One input rank, under every I/O strategy: 1DIP rank r serves steps
+// r, r+m, ...; every member of 2DIP group g serves steps g, g+n, ... Each
+// step is fetched, preprocessed and shipped as the rank's plan says.
+void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
+               vmpi::Comm* group, int rank) {
+  const PipelineConfig& cfg = sh.config;
+  const int I = cfg.total_input_procs();
+  const bool one_dip = cfg.strategy == IoStrategy::kOneDip;
+  const int stride = one_dip ? cfg.input_procs : cfg.groups;
+  InputPlan plan = make_input_plan(st, group, st.owners);
   int cur_epoch = 0;
+  std::optional<lic::Quadtree> qt;
 
   InputStats acc(sh);
   // Quantization range of every step this rank shipped: NACK regeneration
   // must reuse it to be bit-identical when the range was auto-derived.
   std::map<int, std::pair<float, float>> sent_range;
 
-  auto read_step = [&](int s, std::vector<float>& cur, std::vector<float>& prev,
-                       std::vector<float>& next) {
-    cur = read_level_at(world, st, st.reader.step_path(s), 0,
-                        st.level_floats());
-    if (cfg.enhancement) {
-      if (s > 0)
-        prev = read_level_at(world, st, st.reader.step_path(s - 1), 0,
-                             st.level_floats());
-      if (s + 1 < st.reader.meta().num_steps)
-        next = read_level_at(world, st, st.reader.step_path(s + 1), 0,
-                             st.level_floats());
+  // One regenerator answers every NACK: it finds the NACKed message in the
+  // plan and rebuilds it from a fresh read, or sends a skip marker.
+  auto regenerate = [&](int rs, int id, int requester) {
+    auto m = std::find_if(plan.msgs.begin(), plan.msgs.end(), [&](auto& x) {
+      return x.renderer == requester - I && x.id == id;
+    });
+    auto range = sent_range.find(rs);
+    std::vector<std::uint8_t> msg;
+    if (m != plan.msgs.end() && range != sent_range.end()) {
+      try {
+        auto w = read_window(st, rs, [&](int step) {
+          return plan.reader.reread(world, st, step, m->positions);
+        });
+        auto q = io::quantize(make_scalar(cfg, st, w), range->second.first,
+                              range->second.second);
+        msg = make_block_msg(rs, m->id, q.lo, q.hi, q.values,
+                             cfg.compress_blocks, nullptr, nullptr);
+      } catch (const vmpi::IoError&) {
+        // The data is gone for good; the renderer keeps its stale copy.
+      }
     }
+    if (msg.empty()) msg = make_skip_block_msg(rs, plan.skip_id);
+    world.isend(requester, tag_block(rs), msg);
   };
+  InputControl ctl{world, regenerate};
 
-  InputControl ctl{world, [&](int rs, int block, int requester) {
-                     auto range = sent_range.find(rs);
-                     if (block < 0 || range == sent_range.end()) {
-                       world.isend(requester, tag_block(rs),
-                                   make_skip_block_msg(rs));
-                       return;
-                     }
-                     try {
-                       std::vector<float> cur, prev, next;
-                       read_step(rs, cur, prev, next);
-                       auto scalar = make_scalar(cfg, st, cur, prev, next);
-                       auto q = io::quantize(scalar, range->second.first,
-                                             range->second.second);
-                       auto nodes = st.index.block_nodes(std::size_t(block));
-                       std::vector<std::uint8_t> values(nodes.size());
-                       for (std::size_t i = 0; i < nodes.size(); ++i)
-                         values[i] = q.values[nodes[i]];
-                       world.isend(requester, tag_block(rs),
-                                   make_block_msg(rs, std::size_t(block), q.lo,
-                                                  q.hi, values,
-                                                  cfg.compress_blocks, nullptr,
-                                                  nullptr));
-                     } catch (const vmpi::IoError&) {
-                       // The data is gone for good; the renderer falls back
-                       // to its stale copy.
-                       world.isend(requester, tag_block(rs),
-                                   make_skip_block_msg(rs));
-                     }
-                   }};
-
-  for (int s = input_index; s < st.num_steps; s += m) {
+  for (int s = one_dip ? rank : rank / cfg.input_procs; s < st.num_steps;
+       s += stride) {
     world.fault_checkpoint(s);
     // Dynamic redistribution: pick up the assignment of this step's epoch
     // (the render group publishes one per epoch boundary). Rebalance epochs
     // only — steering epochs never reassign blocks.
     while (cfg.rebalance_every > 0 && st.view.epoch_of(s) > cur_epoch) {
       ++cur_epoch;
-      owners = ctl.await_assignment(cur_epoch);
+      plan = make_input_plan(st, group, ctl.await_assignment(cur_epoch));
     }
 
     WallTimer t;
-    std::vector<float> cur, prev, next;
+    StepWindow w;
     bool fetched = true;
     pipe_counters().input_attempted.add();
     {
       trace::Span fetch_span("pipeline", "fetch", s);
       try {
-        read_step(s, cur, prev, next);
+        w = read_window(st, s, [&](int step) {
+          return plan.reader.read(world, st, step);
+        });
       } catch (const vmpi::IoError&) {
+        // Permanent failure after retries. A collective read_all aborts on
+        // every group member together, so each member gets here.
         fetched = false;
       }
     }
     acc.fetch += t.seconds();
     t.reset();
     if (!fetched) {
-      // Permanent fetch failure after retries: one skip marker to each
-      // renderer expecting data from me, so nobody blocks on data that will
-      // never come; they will repeat the previous step's frame.
-      std::vector<char> serves(std::size_t(cfg.render_procs), 0);
-      for (int owner : owners) serves[std::size_t(owner)] = 1;
-      for (int r = 0; r < cfg.render_procs; ++r)
-        if (serves[std::size_t(r)])
-          world.isend(I + r, tag_block(s), make_skip_block_msg(s));
+      // One skip marker to each renderer expecting data from me, so nobody
+      // blocks on data that will never come; they will repeat the previous
+      // step's frame.
+      for (int r : plan.serves)
+        world.isend(I + r, tag_block(s), make_skip_block_msg(s, plan.skip_id));
       continue;
     }
     io::QuantizedField q;
     {
       trace::Span prep_span("pipeline", "preprocess", s);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
+      q = io::quantize(make_scalar(cfg, st, w), cfg.render.value_lo,
+                       cfg.render.value_hi);
       sent_range[s] = {q.lo, q.hi};
-      if (cfg.lic_overlay) input_lic(world, cfg, st, s, cur, qt);
+      if (cfg.lic_overlay) input_lic(world, cfg, st, s, w.cur, qt);
     }
     acc.preprocess += t.seconds();
     t.reset();
     {
       trace::Span send_span("pipeline", "send_blocks", s);
-      send_blocks(world, sh, st, s, q, all_blocks, owners);
+      std::uint64_t raw = 0, sent = 0;
+      send_block_msgs(world, I, s, q, plan.msgs, cfg.compress_blocks, &raw,
+                      &sent);
+      pipe_counters().block_bytes_raw.add(raw);
+      pipe_counters().block_bytes_sent.add(sent);
     }
-    acc.send += t.seconds();
-    pipe_counters().input_completed.add();
-  }
-  ctl.drain_until_done(cfg.render_procs);
-}
-
-// 2DIP group member. `group_comm` spans the m members of this group.
-void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
-                    vmpi::Comm& group_comm, int group) {
-  const PipelineConfig& cfg = sh.config;
-  const int n = cfg.groups;
-  const int m = cfg.input_procs;
-  const int mi = group_comm.rank();
-  const int comps = st.reader.meta().components;
-  const bool collective = cfg.strategy == IoStrategy::kTwoDipCollective;
-
-  InputStats acc(sh);
-
-  // --- static request patterns (computed once; the mesh never changes) ----
-  // Collective: this member serves render procs {r : r % m == mi}; its view
-  // is their merged node list.
-  std::vector<std::size_t> my_blocks;
-  std::vector<mesh::NodeId> my_nodes;
-  vmpi::IndexedBlockView view;
-  // node id -> position within my_nodes (for per-block extraction).
-  std::map<mesh::NodeId, std::uint32_t> node_pos;
-  // Independent: my contiguous slice and its forwarding map.
-  mesh::NodeId slice_lo = 0, slice_hi = 0;
-  // Per render proc: ordered value positions within my slice.
-  std::vector<std::vector<std::uint32_t>> fwd_slice_pos(
-      std::size_t(cfg.render_procs));
-
-  if (collective) {
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      if (st.owners[b] % m == mi) my_blocks.push_back(b);
-    }
-    my_nodes = io::merged_nodes(st.index, my_blocks);
-    for (std::uint32_t i = 0; i < my_nodes.size(); ++i)
-      node_pos[my_nodes[i]] = i;
-    view.elem_bytes = std::size_t(comps) * sizeof(float);
-    view.block_elems = 1;
-    std::uint64_t base_elems = st.level_offset() / view.elem_bytes;
-    for (auto nid : my_nodes) view.block_offsets.push_back(base_elems + nid);
-  } else {
-    auto [lo, hi] = io::slice_bounds(st.level_floats() / std::size_t(comps),
-                                     mi, m);
-    slice_lo = lo;
-    slice_hi = hi;
-    auto entries = io::build_forward_map(st.index, lo, hi);
-    // entries are grouped by block ascending then block_pos; split by owner.
-    for (const auto& e : entries) {
-      fwd_slice_pos[std::size_t(st.owners[e.block])].push_back(e.slice_pos);
-    }
-  }
-
-  const int I = cfg.total_input_procs();
-  std::map<int, std::pair<float, float>> sent_range;
-
-  // Renderers this member ships data to (collective: the blocks whose owner
-  // maps onto me; independent: everyone).
-  std::vector<char> serves(std::size_t(cfg.render_procs), collective ? 0 : 1);
-  if (collective)
-    for (std::size_t b : my_blocks) serves[std::size_t(st.owners[b])] = 1;
-
-  auto read_slice = [&](int step_id, std::vector<float>& cur,
-                        std::vector<float>& prev, std::vector<float>& next) {
-    std::uint64_t first = std::uint64_t(slice_lo) * std::uint64_t(comps);
-    std::uint64_t count =
-        std::uint64_t(slice_hi - slice_lo) * std::uint64_t(comps);
-    cur = read_level_at(world, st, st.reader.step_path(step_id), first, count);
-    if (cfg.enhancement) {
-      if (step_id > 0)
-        prev = read_level_at(world, st, st.reader.step_path(step_id - 1),
-                             first, count);
-      if (step_id + 1 < st.reader.meta().num_steps)
-        next = read_level_at(world, st, st.reader.step_path(step_id + 1),
-                             first, count);
-    }
-  };
-
-  // NACK servicing. The resend path must never enter a collective read (the
-  // rest of the group is not listening), so the collective strategy
-  // regenerates a single block with independent per-node reads instead.
-  auto regen_block = [&](int rs, int block, int requester) {
-    auto range = sent_range.find(rs);
-    if (block < 0 || range == sent_range.end()) {
-      world.isend(requester, tag_block(rs), make_skip_block_msg(rs));
-      return;
-    }
-    try {
-      auto nodes = st.index.block_nodes(std::size_t(block));
-      auto read_nodes = [&](int step_id) {
-        vmpi::File f(world, st.reader.step_path(step_id));
-        f.set_retry_policy(cfg.io_retry);
-        std::vector<float> data(nodes.size() * std::size_t(comps));
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          f.read_at(st.level_offset() + std::uint64_t(nodes[i]) *
-                                            std::uint64_t(comps) *
-                                            sizeof(float),
-                    {reinterpret_cast<std::uint8_t*>(data.data() +
-                                                     i * std::size_t(comps)),
-                     std::size_t(comps) * sizeof(float)});
-        }
-        return data;
-      };
-      auto cur = read_nodes(rs);
-      std::vector<float> prev, next;
-      if (cfg.enhancement) {
-        if (rs > 0) prev = read_nodes(rs - 1);
-        if (rs + 1 < st.reader.meta().num_steps) next = read_nodes(rs + 1);
-      }
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      auto q =
-          io::quantize(scalar, range->second.first, range->second.second);
-      world.isend(requester, tag_block(rs),
-                  make_block_msg(rs, std::size_t(block), q.lo, q.hi, q.values,
-                                 cfg.compress_blocks, nullptr, nullptr));
-    } catch (const vmpi::IoError&) {
-      world.isend(requester, tag_block(rs), make_skip_block_msg(rs));
-    }
-  };
-
-  auto regen_slice = [&](int rs, int /*block*/, int requester) {
-    auto range = sent_range.find(rs);
-    if (range == sent_range.end()) {
-      world.isend(requester, tag_block(rs),
-                  make_skip_block_msg<SliceMsgHeader>(rs, mi));
-      return;
-    }
-    try {
-      std::vector<float> cur, prev, next;
-      read_slice(rs, cur, prev, next);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      auto q =
-          io::quantize(scalar, range->second.first, range->second.second);
-      const auto& positions = fwd_slice_pos[std::size_t(requester - I)];
-      std::vector<std::uint8_t> values(positions.size());
-      for (std::size_t i = 0; i < positions.size(); ++i)
-        values[i] = q.values[positions[i]];
-      world.isend(requester, tag_block(rs),
-                  make_block_msg<SliceMsgHeader>(rs, mi, q.lo, q.hi, values,
-                                                 cfg.compress_blocks, nullptr,
-                                                 nullptr));
-    } catch (const vmpi::IoError&) {
-      world.isend(requester, tag_block(rs),
-                  make_skip_block_msg<SliceMsgHeader>(rs, mi));
-    }
-  };
-
-  InputControl ctl{world, collective
-                              ? std::function<void(int, int, int)>(regen_block)
-                              : std::function<void(int, int, int)>(regen_slice)};
-
-  for (int s = group; s < st.num_steps; s += n) {
-    world.fault_checkpoint(s);
-    WallTimer t;
-    std::vector<float> cur, prev, next;
-    bool fetched = true;
-    pipe_counters().input_attempted.add();
-    // std::optional lets the span close exactly at fetch end without
-    // re-bracing the whole try/catch below (Span is neither copyable nor
-    // movable by design).
-    std::optional<trace::Span> fetch_span;
-    if (trace::enabled()) fetch_span.emplace("pipeline", "fetch", s);
-    try {
-      if (collective) {
-        auto read_step = [&](int step_id) {
-          vmpi::File f(group_comm, st.reader.step_path(step_id));
-          f.set_retry_policy(cfg.io_retry);
-          f.set_view(view);
-          std::vector<float> data(my_nodes.size() * std::size_t(comps));
-          f.read_all({reinterpret_cast<std::uint8_t*>(data.data()),
-                      data.size() * sizeof(float)});
-          return data;
-        };
-        cur = read_step(s);
-        if (cfg.enhancement) {
-          if (s > 0) prev = read_step(s - 1);
-          if (s + 1 < st.reader.meta().num_steps) next = read_step(s + 1);
-        }
-      } else {
-        read_slice(s, cur, prev, next);
-      }
-    } catch (const vmpi::IoError&) {
-      // Permanent failure. Under the collective strategy read_all aborts on
-      // every group member together, so each member reaches this branch and
-      // each renderer receives exactly one skip marker.
-      fetched = false;
-    }
-    fetch_span.reset();
-    acc.fetch += t.seconds();
-    t.reset();
-    if (!fetched) {
-      for (int r = 0; r < cfg.render_procs; ++r) {
-        if (!serves[std::size_t(r)]) continue;
-        world.isend(I + r, tag_block(s),
-                    collective ? make_skip_block_msg(s)
-                               : make_skip_block_msg<SliceMsgHeader>(s, mi));
-      }
-      continue;
-    }
-    io::QuantizedField q;
-    {
-      trace::Span prep_span("pipeline", "preprocess", s);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-      sent_range[s] = {q.lo, q.hi};
-    }
-    acc.preprocess += t.seconds();
-    t.reset();
-
-    std::uint64_t raw = 0, sent_bytes = 0;
-    trace::Span send_span("pipeline", "send_blocks", s);
-    if (collective) {
-      // Per-block messages, values indexed through the merged node list.
-      std::vector<std::uint8_t> values;
-      for (std::size_t b : my_blocks) {
-        auto nodes = st.index.block_nodes(b);
-        values.resize(nodes.size());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          values[i] = q.values[node_pos.at(nodes[i])];
-        }
-        world.isend(I + st.owners[b], tag_block(s),
-                    make_block_msg(s, b, q.lo, q.hi, values,
-                                   cfg.compress_blocks, &raw, &sent_bytes));
-      }
-    } else {
-      // One slice message per render proc, values in forward-map order.
-      std::vector<std::uint8_t> values;
-      for (int r = 0; r < cfg.render_procs; ++r) {
-        const auto& positions = fwd_slice_pos[std::size_t(r)];
-        values.resize(positions.size());
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          values[i] = q.values[positions[i]];
-        }
-        world.isend(I + r, tag_block(s),
-                    make_block_msg<SliceMsgHeader>(s, mi, q.lo, q.hi, values,
-                                                   cfg.compress_blocks, &raw,
-                                                   &sent_bytes));
-      }
-    }
-    pipe_counters().block_bytes_raw.add(raw);
-    pipe_counters().block_bytes_sent.add(sent_bytes);
     acc.send += t.seconds();
     pipe_counters().input_completed.add();
   }
@@ -676,16 +507,13 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   };
   std::vector<std::vector<Scatter>> member_scatter;
   if (independent) {
-    const int comps = st.reader.meta().components;
     member_scatter.resize(std::size_t(m));
     for (int mi = 0; mi < m; ++mi) {
-      auto [lo, hi] = io::slice_bounds(st.level_floats() / std::size_t(comps),
-                                       mi, m);
-      auto entries = io::build_forward_map(st.index, lo, hi);
-      for (const auto& e : entries) {
-        if (st.owners[e.block] != rr) continue;
-        member_scatter[std::size_t(mi)].push_back(
-            {assign.local_of.at(int(e.block)), e.block_pos});
+      auto [lo, hi] = io::slice_bounds(st.level_nodes(), mi, m);
+      for (const auto& e : io::build_forward_map(st.index, lo, hi)) {
+        if (st.owners[e.block] == rr)
+          member_scatter[std::size_t(mi)].push_back(
+              {assign.local_of.at(int(e.block)), e.block_pos});
       }
     }
   }
@@ -723,82 +551,52 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
       rst = world.recv(vmpi::kAnySource, tag_block(s), msg);
       return true;
     };
-    if (independent) {
-      std::vector<std::uint8_t> scratch, msg;
-      int remaining = m;
-      while (remaining > 0) {
-        vmpi::Status rst;
-        if (!recv_step_msg(msg, rst)) {
-          degraded = true;  // a member died; render what we have
-          break;
-        }
-        const auto header = read_header<SliceMsgHeader>(msg);
-        if (!header)
-          throw std::runtime_error("pipeline: truncated slice message");
-        const SliceMsgHeader& hdr = *header;
-        if (hdr.flags & kFlagStepSkipped) {
-          // Only this member's share is stale; the others still count.
+    // The strategy sets three things: how many messages the step brings
+    // (one per owned block, or one per 2DIP-independent group member),
+    // where a verified payload's values land, and what a skip marker
+    // covers. A block sender serves this renderer's whole step, so its
+    // marker ends the step; a member's covers only that member's share.
+    std::size_t remaining = independent ? std::size_t(m) : assign.owned.size();
+    std::vector<std::uint8_t> scratch, msg;
+    while (remaining > 0) {
+      vmpi::Status rst;
+      if (!recv_step_msg(msg, rst)) {
+        degraded = true;  // a sender died; render what we have
+        break;
+      }
+      const auto hdr = read_header(msg);
+      if (!hdr) throw std::runtime_error("pipeline: truncated block message");
+      if (hdr->flags & kFlagStepSkipped) {
+        degraded = true;
+        if (!independent) break;
+        --remaining;
+        continue;
+      }
+      if (!payload_ok(*hdr, msg)) {
+        pipe_counters().crc_failures.add();
+        if (nacks_left-- > 0) {
+          NackMsg nack{s, hdr->block};
+          world.isend(rst.source, kTagNack,
+                      {reinterpret_cast<const std::uint8_t*>(&nack),
+                       sizeof(nack)});
+        } else {
           degraded = true;
-          --remaining;
-          continue;
+          --remaining;  // give up on this message; keep its stale values
         }
-        if (!payload_ok(hdr, msg)) {
-          pipe_counters().crc_failures.add();
-          if (nacks_left-- > 0) {
-            NackMsg nack{s, -1};
-            world.isend(rst.source, kTagNack,
-                        {reinterpret_cast<const std::uint8_t*>(&nack),
-                         sizeof(nack)});
-          } else {
-            degraded = true;
-            --remaining;
-          }
-          continue;
-        }
-        const auto& scatter = member_scatter[std::size_t(hdr.member)];
-        if (scatter.size() != hdr.count)
-          throw std::runtime_error("pipeline: slice message size mismatch");
-        unpack_values(hdr, msg, scratch, [&](std::size_t i, float v) {
+        continue;
+      }
+      if (independent) {
+        const auto& scatter = member_scatter.at(std::size_t(hdr->block));
+        if (scatter.size() != hdr->count)
+          throw std::runtime_error("pipeline: block message size mismatch");
+        unpack_values(*hdr, msg, scratch, [&](std::size_t i, float v) {
           assign.block_values[scatter[i].local_block][scatter[i].pos] = v;
         });
-        --remaining;
+      } else {
+        unpack_block(*hdr, msg, scratch,
+                     assign.block_values[assign.local_of.at(hdr->block)]);
       }
-    } else {
-      std::vector<std::uint8_t> scratch, msg;
-      std::size_t remaining = assign.owned.size();
-      while (remaining > 0) {
-        vmpi::Status rst;
-        if (!recv_step_msg(msg, rst)) {
-          degraded = true;
-          break;
-        }
-        const auto header = read_header<BlockMsgHeader>(msg);
-        if (!header)
-          throw std::runtime_error("pipeline: truncated block message");
-        const BlockMsgHeader& hdr = *header;
-        if (hdr.flags & kFlagStepSkipped) {
-          // All my blocks for this step come from the one sender that just
-          // gave up, so nothing further is in flight.
-          degraded = true;
-          break;
-        }
-        if (!payload_ok(hdr, msg)) {
-          pipe_counters().crc_failures.add();
-          if (nacks_left-- > 0) {
-            NackMsg nack{s, hdr.block};
-            world.isend(rst.source, kTagNack,
-                        {reinterpret_cast<const std::uint8_t*>(&nack),
-                         sizeof(nack)});
-          } else {
-            degraded = true;
-            --remaining;  // give up on this block; keep its stale values
-          }
-          continue;
-        }
-        unpack_block(hdr, msg, scratch,
-                     assign.block_values[assign.local_of.at(hdr.block)]);
-        --remaining;
-      }
+      --remaining;
     }
 
     // The whole group must agree on the degraded flag — the output
@@ -1047,11 +845,7 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
 
     switch (role) {
       case 0:
-        if (config.strategy == IoStrategy::kOneDip) {
-          run_input_1dip(sh, st, world, r);
-        } else {
-          run_input_2dip(sh, st, world, *group_comm, r / config.input_procs);
-        }
+        run_input(sh, st, world, group_comm ? &*group_comm : nullptr, r);
         break;
       case 1:
         run_render(sh, st, world, sub);

@@ -3,12 +3,13 @@
 // Processor roles (Figure 2): ranks [0, I) are input processors, ranks
 // [I, I+R) rendering processors, and the last rank the output processor.
 //
-//   input:  fetch each time step from disk (1DIP whole-step reads or 2DIP
-//           group reads, collective-noncontiguous or independent-contiguous
-//           per §5.3), run the preprocessing calculations (magnitude,
-//           quantization to 8 bits, optional temporal enhancement, optional
-//           surface LIC), and ship per-block node values to the renderers
-//           with buffered (non-blocking) sends.
+//   input:  one loop for every I/O strategy: fetch each time step from
+//           disk (1DIP whole-step reads or 2DIP group reads, collective-
+//           noncontiguous or independent-contiguous per §5.3), preprocess
+//           it (magnitude, quantization to 8 bits, optional temporal
+//           enhancement, optional surface LIC), and ship the rank's ordered
+//           block messages to the renderers with buffered sends. The
+//           strategy only picks the reader and the message list.
 //   render: receive block values for the next step in the background while
 //           rendering the current one, then hand them to the shared render
 //           stage (core/render_stage.hpp): raycast owned blocks, composite

@@ -45,7 +45,7 @@ TEST_P(PackRoundTrip, PackUnpackPreservesPieces) {
   pack_piece(a, compress, buf);
   pack_piece(b, compress, buf);
 
-  auto pieces = unpack_pieces(buf);
+  auto pieces = unpack_pieces(buf, 16, 16);
   ASSERT_EQ(pieces.size(), 2u);
   EXPECT_EQ(pieces[0].order, 7u);
   EXPECT_EQ(pieces[1].order, 1u);
@@ -101,7 +101,7 @@ TEST(CompositePieces, RespectsOffsets) {
 }
 
 TEST(UnpackPieces, EmptyBufferYieldsNothing) {
-  EXPECT_TRUE(unpack_pieces({}).empty());
+  EXPECT_TRUE(unpack_pieces({}, 16, 16).empty());
 }
 
 }  // namespace

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "compositing/direct_send.hpp"
 #include "util/crc32.hpp"
@@ -494,6 +496,93 @@ TEST(ActivePixelFuzz, RandomBitFlipsNeverCrashDecoderStaysUsable) {
     (void)unpack_piece_stream(bad, kW, kH);
   }
   EXPECT_TRUE(unpack_piece_stream(msg, kW, kH).has_value());
+}
+
+// --- SLIC / direct-send piece messages: corrupt-input fuzz ------------------
+//
+// pack_piece messages carry no CRC, and only the first piece header lies in
+// the transport's trusted 32-byte prefix. unpack_pieces must either parse a
+// damaged message or throw a "compositing:" std::runtime_error: never size
+// an allocation from a lying header (bad_alloc, length_error), never read
+// past the buffer (the ASan stage runs this wall).
+
+// Three small pieces packed back to back; `ends` receives the message size
+// after each piece.
+std::vector<std::uint8_t> packed_pieces(std::uint64_t seed, bool compress,
+                                        std::vector<std::size_t>& ends) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> buf;
+  for (std::uint32_t order : {4u, 1u, 9u}) {
+    Piece p;
+    const int w = 2 + int(rng.next_below(5));
+    const int h = 1 + int(rng.next_below(4));
+    const int x0 = int(rng.next_below(std::uint64_t(kW - w)));
+    const int y0 = int(rng.next_below(std::uint64_t(kH - h)));
+    p.rect = {x0, y0, x0 + w, y0 + h};
+    p.order = order;
+    p.pixels.resize(std::size_t(w) * std::size_t(h));
+    for (auto& px : p.pixels) {
+      if (rng.next_double() < 0.5) continue;  // transparent runs for RLE
+      float a = 0.1f + 0.8f * rng.next_float();
+      px = {rng.next_float() * a, rng.next_float() * a, rng.next_float() * a,
+            a};
+    }
+    pack_piece(p, compress, buf);
+    ends.push_back(buf.size());
+  }
+  return buf;
+}
+
+// How many pieces `msg` parses to, or -1 when it is rejected. Any exception
+// other than a "compositing:" std::runtime_error escapes and fails the test.
+int parse_or_reject(std::span<const std::uint8_t> msg) {
+  try {
+    return int(unpack_pieces(msg, kW, kH).size());
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("compositing:", 0), 0u) << e.what();
+    return -1;
+  }
+}
+
+TEST(PieceFuzz, EveryTruncationParsesWholePiecesOrThrows) {
+  const std::uint64_t base = fuzz_seed();
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("(QV_FUZZ_SEED=" + std::to_string(base) + ") " +
+                 (compress ? "rle" : "raw"));
+    std::vector<std::size_t> ends;
+    auto msg = packed_pieces(base, compress, ends);
+    ASSERT_EQ(parse_or_reject(msg), 3);
+    for (std::size_t cut = 0; cut < msg.size(); ++cut) {
+      // A cut on a piece boundary is a shorter valid message.
+      const int whole = int(std::find(ends.begin(), ends.end(), cut) -
+                            ends.begin()) + 1;
+      const int want = cut == 0 ? 0 : (whole <= 3 ? whole : -1);
+      int got = 0;
+      EXPECT_NO_THROW(got = parse_or_reject({msg.data(), cut}))
+          << "cut " << cut << "/" << msg.size();
+      EXPECT_EQ(got, want) << "cut " << cut << "/" << msg.size();
+    }
+  }
+}
+
+TEST(PieceFuzz, EveryByteFlipParsesOrThrows) {
+  const std::uint64_t base = fuzz_seed();
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("(QV_FUZZ_SEED=" + std::to_string(base) + ") " +
+                 (compress ? "rle" : "raw"));
+    std::vector<std::size_t> ends;
+    const auto msg = packed_pieces(base ^ 0x9E1, compress, ends);
+    for (std::size_t byte = 0; byte < msg.size(); ++byte) {
+      // Every single-bit flip of the byte, and the whole byte inverted.
+      for (unsigned mask : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 255u}) {
+        auto bad = msg;
+        bad[byte] ^= std::uint8_t(mask);
+        EXPECT_NO_THROW((void)parse_or_reject(bad))
+            << "byte " << byte << " mask " << mask;
+      }
+    }
+    EXPECT_EQ(parse_or_reject(msg), 3);
+  }
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(BlockMsg, RoundtripRawAndCompressed) {
     std::uint64_t raw = 0, sent = 0;
     auto msg = make_block_msg(5, 17, -1.0f, 3.0f, values, compress, &raw,
                               &sent);
-    auto hdr = read_header<BlockMsgHeader>(msg);
+    auto hdr = read_header(msg);
     ASSERT_TRUE(hdr.has_value());
     EXPECT_EQ(hdr->step, 5);
     EXPECT_EQ(hdr->block, 17);
@@ -50,13 +50,13 @@ TEST(BlockMsg, RoundtripRawAndCompressed) {
 TEST(BlockMsg, SkipMarkerIsHeaderOnly) {
   auto msg = make_skip_block_msg(9, 4);
   ASSERT_EQ(msg.size(), sizeof(BlockMsgHeader));
-  auto hdr = read_header<BlockMsgHeader>(msg);
+  auto hdr = read_header(msg);
   ASSERT_TRUE(hdr.has_value());
   EXPECT_EQ(hdr->step, 9);
   EXPECT_EQ(hdr->block, 4);
   EXPECT_TRUE(hdr->flags & kFlagStepSkipped);
   EXPECT_EQ(hdr->count, 0u);
-  EXPECT_EQ(read_header<BlockMsgHeader>(make_skip_block_msg(2))->block, -1);
+  EXPECT_EQ(read_header(make_skip_block_msg(2))->block, -1);
 }
 
 TEST(BlockMsg, ShortBufferRejected) {
@@ -64,11 +64,11 @@ TEST(BlockMsg, ShortBufferRejected) {
                             nullptr);
   for (std::size_t cut : {std::size_t(0), std::size_t(8),
                           sizeof(BlockMsgHeader) - 1}) {
-    EXPECT_FALSE(read_header<BlockMsgHeader>({msg.data(), cut}).has_value())
+    EXPECT_FALSE(read_header({msg.data(), cut}).has_value())
         << "cut " << cut;
   }
   // A whole header with the payload cut off fails the framing check.
-  auto hdr = read_header<BlockMsgHeader>(msg);
+  auto hdr = read_header(msg);
   ASSERT_TRUE(hdr.has_value());
   EXPECT_FALSE(payload_ok(*hdr, {msg.data(), msg.size() - 1}));
 }
@@ -78,7 +78,7 @@ TEST(BlockMsg, FlippedPayloadBitFailsCrc) {
     SCOPED_TRACE(compress ? "rle" : "raw");
     auto msg = make_block_msg(0, 1, 0.0f, 1.0f, test_values(64), compress,
                               nullptr, nullptr);
-    auto hdr = read_header<BlockMsgHeader>(msg);
+    auto hdr = read_header(msg);
     ASSERT_TRUE(hdr.has_value());
     for (std::size_t pos = sizeof(BlockMsgHeader); pos < msg.size(); ++pos) {
       for (int bit = 0; bit < 8; ++bit) {
@@ -94,7 +94,7 @@ TEST(BlockMsg, FlippedPayloadBitFailsCrc) {
 TEST(BlockMsg, CountMismatchWithReceivingBlockThrows) {
   const auto values = test_values(40);
   auto msg = make_block_msg(0, 1, 0.0f, 1.0f, values, false, nullptr, nullptr);
-  auto hdr = read_header<BlockMsgHeader>(msg);
+  auto hdr = read_header(msg);
   ASSERT_TRUE(hdr.has_value());
   std::vector<std::uint8_t> scratch;
   for (std::size_t n : {values.size() - 1, values.size() + 1}) {

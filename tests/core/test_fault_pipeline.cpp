@@ -112,28 +112,38 @@ TEST_F(FaultPipelineTest, TransientReadErrorIsRetriedInvisibly) {
 }
 
 TEST_F(FaultPipelineTest, CorruptBlockIsDetectedAndResentBitIdentical) {
+  // Input rank 0's first and second data messages: a regenerator that
+  // resends the wrong message of its plan fails the second. With
+  // enhancement the regenerator also re-reads s-1 and s+1.
+  const std::vector<std::vector<vmpi::RankOp>> corruptions = {{{0, 0}},
+                                                              {{0, 1}}};
   for (auto strategy :
        {IoStrategy::kOneDip, IoStrategy::kTwoDipCollective,
         IoStrategy::kTwoDipIndependent}) {
-    auto cfg = base_config();
-    cfg.strategy = strategy;
-    if (strategy != IoStrategy::kOneDip) cfg.groups = 2;
-    auto base = baseline(cfg);
+    for (bool enhancement : {false, true}) {
+      auto cfg = base_config();
+      cfg.strategy = strategy;
+      cfg.enhancement = enhancement;
+      if (strategy != IoStrategy::kOneDip) cfg.groups = 2;
+      auto base = baseline(cfg);
+      for (const auto& sends : corruptions) {
+        SCOPED_TRACE("strategy " + std::to_string(int(strategy)) +
+                     (enhancement ? " enhanced" : " plain") + " send " +
+                     std::to_string(sends[0].nth));
+        auto plan = std::make_shared<vmpi::FaultPlan>();
+        plan->corrupt_sends = sends;
+        cfg.fault_plan = plan;
 
-    auto plan = std::make_shared<vmpi::FaultPlan>();
-    plan->corrupt_sends = {{0, 0}};  // input rank 0's first data message
-    cfg.fault_plan = plan;
-
-    std::vector<img::Image> frames;
-    auto rep = run_pipeline(cfg, &frames);
-    EXPECT_EQ(rep.corrupt_blocks_detected, 1u)
-        << "strategy " << int(strategy);
-    EXPECT_EQ(rep.resend_requests, 1u) << "strategy " << int(strategy);
-    EXPECT_EQ(rep.degraded_frames, 0) << "strategy " << int(strategy);
-    ASSERT_EQ(frames.size(), base.size());
-    for (std::size_t s = 0; s < frames.size(); ++s)
-      EXPECT_TRUE(same_pixels(frames[s], base[s]))
-          << "strategy " << int(strategy) << " frame " << s;
+        std::vector<img::Image> frames;
+        auto rep = run_pipeline(cfg, &frames);
+        EXPECT_EQ(rep.corrupt_blocks_detected, 1u);
+        EXPECT_EQ(rep.resend_requests, 1u);
+        EXPECT_EQ(rep.degraded_frames, 0);
+        ASSERT_EQ(frames.size(), base.size());
+        for (std::size_t s = 0; s < frames.size(); ++s)
+          EXPECT_TRUE(same_pixels(frames[s], base[s])) << "frame " << s;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/serial.hpp"
 #include "metrics/metrics.hpp"
 #include "quake/synthetic.hpp"
+#include "trace/trace.hpp"
 #include "util/stats.hpp"
 
 namespace qv::core {
@@ -116,23 +117,58 @@ TEST_F(PipelineTest, TwoDipIndependentMatchesSerialReference) {
 }
 
 TEST_F(PipelineTest, AllStrategiesAgreeWithEachOther) {
-  std::vector<std::vector<img::Image>> results;
+  // With enhancement every reader also fetches s-1 and s+1.
+  for (bool enhancement : {false, true}) {
+    SCOPED_TRACE(enhancement ? "enhanced" : "plain");
+    std::vector<std::vector<img::Image>> results;
+    for (auto strategy :
+         {IoStrategy::kOneDip, IoStrategy::kTwoDipCollective,
+          IoStrategy::kTwoDipIndependent}) {
+      auto cfg = base_config();
+      cfg.strategy = strategy;
+      cfg.groups = 2;
+      cfg.enhancement = enhancement;
+      std::vector<img::Image> frames;
+      run_pipeline(cfg, &frames);
+      results.push_back(std::move(frames));
+    }
+    for (std::size_t k = 1; k < results.size(); ++k) {
+      ASSERT_EQ(results[k].size(), results[0].size());
+      for (std::size_t s = 0; s < results[0].size(); ++s) {
+        EXPECT_LT(img::rmse(results[k][s], results[0][s]), 1e-6)
+            << "strategy " << k << " frame " << s;
+      }
+    }
+  }
+}
+
+TEST_F(PipelineTest, EveryStrategyRecordsEachInputStageOnce) {
+  // One input loop, one instrument per stage: with metrics on and tracing
+  // off, every strategy records a fetch span per attempted step and a
+  // preprocess and send_blocks span per completed step.
+  ASSERT_FALSE(trace::enabled());
   for (auto strategy :
        {IoStrategy::kOneDip, IoStrategy::kTwoDipCollective,
         IoStrategy::kTwoDipIndependent}) {
+    SCOPED_TRACE("strategy " + std::to_string(int(strategy)));
     auto cfg = base_config();
     cfg.strategy = strategy;
     cfg.groups = 2;
-    std::vector<img::Image> frames;
-    run_pipeline(cfg, &frames);
-    results.push_back(std::move(frames));
-  }
-  for (std::size_t k = 1; k < results.size(); ++k) {
-    ASSERT_EQ(results[k].size(), results[0].size());
-    for (std::size_t s = 0; s < results[0].size(); ++s) {
-      EXPECT_LT(img::rmse(results[k][s], results[0][s]), 1e-6)
-          << "strategy " << k << " frame " << s;
-    }
+    metrics::enable();
+    auto rep = run_pipeline(cfg);
+    auto snap = metrics::collect();
+    metrics::disable();
+    auto count = [&](const char* name) -> std::uint64_t {
+      auto it = snap.histograms.find(name);
+      return it == snap.histograms.end() ? 0 : it->second.count;
+    };
+    EXPECT_GE(rep.input_steps_attempted, kSteps);
+    EXPECT_EQ(count("span.pipeline.fetch"),
+              std::uint64_t(rep.input_steps_attempted));
+    EXPECT_EQ(count("span.pipeline.preprocess"),
+              std::uint64_t(rep.input_steps_completed));
+    EXPECT_EQ(count("span.pipeline.send_blocks"),
+              std::uint64_t(rep.input_steps_completed));
   }
 }
 

@@ -7,11 +7,12 @@
 # two seeds must produce passing e2e-latency verdicts and flight-recorder
 # dumps the validator accepts), a ThreadSanitizer pass over the
 # message-passing runtime and the parallel renderer, a determinism/fuzz
-# stage run under two seeds, and the benchmark gate.
+# stage run under two seeds, the same fuzz walls plus the pipeline suites
+# under AddressSanitizer + UBSan, and the benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
 #                     --server-chaos-only|--cache-replay-only|slo-gate|
 #                     --steer-smoke-only|--tsan-only|--determinism-only|
-#                     --bench-gate-only]
+#                     --asan-only|--bench-gate-only]
 #        tools/ci.sh --bench-update    # re-baseline BENCH_*.json
 # BENCH_THRESHOLD (default 0.15) sets the gate's relative regression bound.
 set -euo pipefail
@@ -300,27 +301,52 @@ slo_gate() {
   echo "slo gate: verdicts PASS and flight-recorder dumps valid under both seeds"
 }
 
+# The seeded property and fuzz walls, run from build directory $1 under
+# QV_FUZZ_SEED=1 and 2: the determinism stage runs them on the tier-1 build,
+# the asan stage on the sanitizer build.
+FUZZ_TARGETS=(test_render test_vmpi test_io test_stream test_server test_compositing test_control test_steer)
+fuzz_walls() {
+  local dir=$1 seed
+  for seed in 1 2; do
+    echo "-- QV_FUZZ_SEED=$seed --"
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_render \
+        --gtest_filter='RenderDeterminism.*:GoldenImage.*'
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_vmpi --gtest_filter='CollectivesFuzz.*'
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_io --gtest_filter='Rle8Fuzz.*'
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_stream --gtest_filter='FrameCodecFuzz.*'
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_server --gtest_filter='ControlCodecFuzz.*'
+    # The QVCT steering codec wall + the stale/fresh property wall.
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_control --gtest_filter='SteerCodecFuzz.*'
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_steer --gtest_filter='SteerPropertyWall.*'
+    # The radix-k equivalence wall, the active-pixel corrupt-input fuzzers
+    # and the SLIC/direct-send piece-message wall.
+    QV_FUZZ_SEED=$seed "$dir"/tests/test_compositing \
+        --gtest_filter='*RadixK*:RadixPlan*:ActivePixel*:PieceFuzz*'
+  done
+}
+
 determinism() {
   echo "== determinism/fuzz: seeded property suites under two seeds =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target test_render test_vmpi test_io test_util test_stream test_server test_compositing test_control test_steer
-  local seed
-  for seed in 1 2; do
-    echo "-- QV_FUZZ_SEED=$seed --"
-    QV_FUZZ_SEED=$seed ./build/tests/test_render \
-        --gtest_filter='RenderDeterminism.*:GoldenImage.*'
-    QV_FUZZ_SEED=$seed ./build/tests/test_vmpi --gtest_filter='CollectivesFuzz.*'
-    QV_FUZZ_SEED=$seed ./build/tests/test_io --gtest_filter='Rle8Fuzz.*'
-    QV_FUZZ_SEED=$seed ./build/tests/test_stream --gtest_filter='FrameCodecFuzz.*'
-    QV_FUZZ_SEED=$seed ./build/tests/test_server --gtest_filter='ControlCodecFuzz.*'
-    # The QVCT steering codec wall + the stale/fresh property wall.
-    QV_FUZZ_SEED=$seed ./build/tests/test_control --gtest_filter='SteerCodecFuzz.*'
-    QV_FUZZ_SEED=$seed ./build/tests/test_steer --gtest_filter='SteerPropertyWall.*'
-    # The radix-k equivalence wall + the active-pixel corrupt-input fuzzers.
-    QV_FUZZ_SEED=$seed ./build/tests/test_compositing \
-        --gtest_filter='*RadixK*:RadixPlan*:ActivePixel*'
-  done
+  cmake --build build -j "$JOBS" --target "${FUZZ_TARGETS[@]}" test_util
+  fuzz_walls build
   ./build/tests/test_util --gtest_filter='ThreadPool.*:Sha256.*'
+}
+
+asan() {
+  echo "== asan: fuzz walls + pipeline suites under AddressSanitizer + UBSan =="
+  cmake -B build-asan -S . -DQV_SANITIZE=address,undefined \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-asan -j "$JOBS" --target "${FUZZ_TARGETS[@]}" test_pipeline
+  # halt_on_error turns the first out-of-bounds access or undefined
+  # behaviour into a hard failure, not a log line.
+  local -x ASAN_OPTIONS=halt_on_error=1
+  local -x UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  fuzz_walls build-asan
+  # The input -> render block messages end to end: every I/O strategy, the
+  # NACK regenerators under payload corruption, and in situ.
+  ./build-asan/tests/test_pipeline \
+      --gtest_filter='BlockMsg.*:PipelineTest.*:FaultPipelineTest.*:Insitu.*'
 }
 
 # The tracked benches and where their committed baselines live.
@@ -393,9 +419,10 @@ case "$MODE" in
   --steer-smoke-only) steer_smoke ;;
   --tsan-only) tsan ;;
   --determinism-only) determinism ;;
+  --asan-only) asan ;;
   --bench-gate-only) bench_gate ;;
   --bench-update) bench_update ;;
-  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; cache_replay; slo_gate; steer_smoke; determinism; tsan; bench_gate ;;
-  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|--cache-replay-only|slo-gate|--steer-smoke-only|--tsan-only|--determinism-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
+  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; cache_replay; slo_gate; steer_smoke; determinism; asan; tsan; bench_gate ;;
+  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|--cache-replay-only|slo-gate|--steer-smoke-only|--tsan-only|--determinism-only|--asan-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
 esac
 echo "ci: OK"
