@@ -19,7 +19,6 @@ const char* stage_name(Stage s) noexcept {
     case Stage::kComposite: return "composite";
     case Stage::kFrame: return "frame";
     case Stage::kEncode: return "encode";
-    case Stage::kCacheLookup: return "cache_lookup";
     case Stage::kEnqueue: return "enqueue";
     case Stage::kQueueWait: return "queue_wait";
     case Stage::kWire: return "wire";

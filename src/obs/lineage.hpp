@@ -12,7 +12,7 @@
 //   * kWall    — seconds on the process steady clock, rebased to the trace
 //                epoch (trace::now_since_epoch_ns), so lineage events line
 //                up with trace spans in a merged Chrome timeline.
-//   * kVirtual — the discrete-event WAN clock (WanLink / replay time).
+//   * kVirtual — the discrete-event WAN clock (WanLink time).
 // A wall timestamp and a virtual timestamp are different units that happen
 // to both be called "seconds"; delta_s() refuses to subtract across domains
 // (returns nullopt), and the Chrome export puts the domains under separate
@@ -46,8 +46,7 @@ enum class Stage : std::uint8_t {
   kRender = 0,      // render ranks: raycasting the step's blocks
   kComposite,       // render ranks: parallel compositing
   kFrame,           // output rank: frame assembled (LIC overlay, tone map)
-  kEncode,          // output/serve/replay: wire encode (bank or encoder)
-  kCacheLookup,     // content-addressed cache get
+  kEncode,          // output/serve: wire encode (bank or encoder)
   kEnqueue,         // wire handed to a client's WAN link
   kQueueWait,       // virtual: time queued behind earlier frames / outages
   kWire,            // virtual: send issued -> transfer complete

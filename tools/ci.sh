@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a trace-output smoke test, a stream-delivery smoke
-# test (served pipeline/insitu -> viewer decode -> byte-exact check), a
-# server churn-chaos stage run under two seeds, a cache-replay stage
-# (zipfian replay digests bit-identical across repeat runs, two seeds, plus
-# the strict CLI parsing contract), an SLO gate (serve + replay runs under
-# two seeds must produce passing e2e-latency verdicts and flight-recorder
-# dumps the validator accepts), a ThreadSanitizer pass over the
-# message-passing runtime and the parallel renderer, a determinism/fuzz
-# stage run under two seeds, the same fuzz walls plus the pipeline suites
-# under AddressSanitizer + UBSan, and the benchmark gate.
+# test (served pipeline/insitu -> viewer decode -> byte-exact check, plus
+# the strict CLI parsing contract), a server churn-chaos stage run under two
+# seeds, an SLO gate (serve and served-pipeline runs under two seeds must
+# produce passing e2e-latency verdicts and flight-recorder dumps the
+# validator accepts), a ThreadSanitizer pass over the message-passing
+# runtime and the parallel renderer, a determinism/fuzz stage run under two
+# seeds, the same fuzz walls plus the pipeline and record-file suites under
+# AddressSanitizer + UBSan, and the benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
-#                     --server-chaos-only|--cache-replay-only|slo-gate|
-#                     --steer-smoke-only|--tsan-only|--determinism-only|
-#                     --asan-only|--bench-gate-only]
+#                     --server-chaos-only|slo-gate|--steer-smoke-only|
+#                     --tsan-only|--determinism-only|--asan-only|
+#                     --bench-gate-only]
 #        tools/ci.sh --bench-update    # re-baseline BENCH_*.json
 # BENCH_THRESHOLD (default 0.15) sets the gate's relative regression bound.
 set -euo pipefail
@@ -124,6 +123,36 @@ EOF
   else
     echo "stream smoke: python3 unavailable, skipped run-report validation"
   fi
+  # The strict-parsing contract: a malformed or out-of-range flag exits 2
+  # and names the flag; it is never read as zero or run silently wrong.
+  # Every case is otherwise a run that succeeds, so only the flag can fail.
+  local pipe=(./build/tools/quakeviz pipeline --dataset="$work/ds" --inputs=2
+              --renderers=2 --width=96 --height=72 --vmax=3)
+  local serve_run=(./build/tools/quakeviz serve --steps=10)
+  must_reject render-threads "${pipe[@]}" --render-threads=abc
+  must_reject serve-budget "${pipe[@]}" --serve-budget=1e30
+  must_reject serve-budget "${pipe[@]}" --serve-budget=-1
+  must_reject serve-clients "${pipe[@]}" --serve-clients=0
+  must_reject serve-clients "${pipe[@]}" --serve-clients=-3
+  must_reject serve-evict-timeout "${pipe[@]}" --serve-evict-timeout=-1
+  must_reject serve-latency-ms "${pipe[@]}" --serve-latency-ms=-50
+  must_reject budget "${serve_run[@]}" --budget=1e30
+  must_reject budget "${serve_run[@]}" --budget=-1
+  must_reject clients "${serve_run[@]}" --clients=0
+  must_reject clients "${serve_run[@]}" --clients=-2
+  must_reject clients "${serve_run[@]}" --steer --clients=0
+  echo "stream smoke: malformed and out-of-range flags rejected by name"
+}
+
+# must_reject FLAG CMD...: CMD must exit 2 and name --FLAG on stderr.
+must_reject() {
+  local flag=$1 rc=0 err
+  shift
+  err=$("$@" 2>&1 >/dev/null) || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "--$flag" <<<"$err"; then
+    echo "stream smoke: '${*: -1}' exited $rc without naming --$flag" >&2
+    return 1
+  fi
 }
 
 server_chaos() {
@@ -141,43 +170,6 @@ server_chaos() {
   ./build/tools/quakeviz serve --chaos --clients=6 --steps=40 --seed=11 \
       >/dev/null
   echo "server chaos: invariants held under both seeds + CLI run"
-}
-
-cache_replay() {
-  echo "== cache replay: zipfian replay digest stable across repeat runs, two seeds =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target quakeviz test_cache
-  local work seed d1 d2
-  work=$(mktemp -d)
-  trap 'rm -rf "$work"' RETURN
-  for seed in 1 2; do
-    echo "-- --seed=$seed --"
-    QV_FUZZ_SEED=$seed ./build/tests/test_cache
-    # Two full replay runs per seed: every cache hit is byte-verified inside
-    # the run (non-zero exit on any mismatch) and the SHA-256 run digests
-    # must be bit-identical across runs.
-    ./build/tools/quakeviz replay --requests=800 --zipf-s=1.1 \
-        --seed="$seed" >"$work/a.txt"
-    ./build/tools/quakeviz replay --requests=800 --zipf-s=1.1 \
-        --seed="$seed" >"$work/b.txt"
-    d1=$(grep -o 'run digest [0-9a-f]*' "$work/a.txt")
-    d2=$(grep -o 'run digest [0-9a-f]*' "$work/b.txt")
-    [ -n "$d1" ] || { echo "cache replay: no digest in output" >&2; return 1; }
-    [ "$d1" = "$d2" ] \
-        || { echo "cache replay: digest mismatch at seed $seed: $d1 vs $d2" >&2
-             return 1; }
-  done
-  # The strict-parsing contract: a malformed numeric flag must exit non-zero
-  # and name the flag — never be silently read as zero.
-  if ./build/tools/quakeviz pipeline --render-threads=abc \
-      >"$work/parse.txt" 2>&1; then
-    echo "cache replay: malformed --render-threads=abc did not fail" >&2
-    return 1
-  fi
-  grep -q 'render-threads' "$work/parse.txt" \
-      || { echo "cache replay: parse error does not name the flag" >&2
-           return 1; }
-  echo "cache replay: digests stable, hits byte-verified, strict parsing enforced"
 }
 
 steer_smoke() {
@@ -231,7 +223,7 @@ tsan() {
   echo "== tsan: vmpi runtime + fault layer + tracing + renderer under ThreadSanitizer =="
   cmake -B build-tsan -S . -DQV_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-tsan -j "$JOBS" --target test_vmpi test_pipeline test_trace test_metrics \
-      test_util test_render test_stream test_server test_cache test_lineage test_compositing \
+      test_util test_render test_stream test_server test_lineage test_compositing \
       test_control test_steer
   # TSAN_OPTIONS halt_on_error makes a data-race report a hard failure.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_vmpi
@@ -255,8 +247,6 @@ tsan() {
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream
   # The delivery server and its shared encoder bank under the race detector.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_server
-  # The shared frame cache: concurrent get/put plus the replayer.
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_cache
   # The lineage flight recorder, hammered from every rank thread at once
   # and dumped from a fault observer while peers still record.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_lineage
@@ -279,6 +269,8 @@ slo_gate() {
   local work seed
   work=$(mktemp -d)
   trap 'rm -rf "$work"' RETURN
+  ./build/tools/quakeviz generate --out="$work/ds" --mode=synthetic \
+      --steps=6 --max-level=3 >/dev/null
   for seed in 1 2; do
     echo "-- --seed=$seed --"
     # A healthy (non-chaos) serve fleet must meet the delivery SLO, and its
@@ -289,14 +281,17 @@ slo_gate() {
         --slo-p95=30 --slo-drop=0.1 >/dev/null
     ./build/tools/bench_report slo "$work/serve_$seed.json"
     ./build/tools/bench_report validate-lineage "$work/serve_$seed.lineage.json"
-    # The cache replayer under the same gate (virtual-time wire latencies;
-    # the replayer never drops).
-    ./build/tools/quakeviz replay --requests=400 --seed="$seed" \
-        --metrics-json="$work/replay_$seed.json" \
-        --lineage="$work/replay_$seed.lineage.json" \
+    # A served pipeline under the same gate: its dump adds the wall-clock
+    # render, composite and frame events of the render and output ranks.
+    ./build/tools/quakeviz pipeline --dataset="$work/ds" --inputs=2 \
+        --renderers=2 --width=96 --height=72 --vmax=3 --serve-clients=4 \
+        --serve-outage-seed="$seed" \
+        --metrics-json="$work/pipeline_$seed.json" \
+        --lineage="$work/pipeline_$seed.lineage.json" \
         --slo-p95=30 --slo-drop=0.1 >/dev/null
-    ./build/tools/bench_report slo "$work/replay_$seed.json"
-    ./build/tools/bench_report validate-lineage "$work/replay_$seed.lineage.json"
+    ./build/tools/bench_report slo "$work/pipeline_$seed.json"
+    ./build/tools/bench_report validate-lineage \
+        "$work/pipeline_$seed.lineage.json"
   done
   echo "slo gate: verdicts PASS and flight-recorder dumps valid under both seeds"
 }
@@ -343,14 +338,17 @@ asan() {
   local -x ASAN_OPTIONS=halt_on_error=1
   local -x UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   fuzz_walls build-asan
-  # The input -> render block messages end to end: every I/O strategy, the
-  # NACK regenerators under payload corruption, and in situ.
+  # The input -> render block messages end to end (every I/O strategy, the
+  # NACK regenerators under payload corruption, and in situ) and the
+  # render -> output frame message.
   ./build-asan/tests/test_pipeline \
-      --gtest_filter='BlockMsg.*:PipelineTest.*:FaultPipelineTest.*:Insitu.*'
+      --gtest_filter='BlockMsg.*:FrameMsg.*:PipelineTest.*:FaultPipelineTest.*:Insitu.*'
+  # The --serve-record file reader on truncated and corrupt captures.
+  ./build-asan/tests/test_stream --gtest_filter='StreamRecordTest.*'
 }
 
 # The tracked benches and where their committed baselines live.
-BENCH_NAMES=(pipeline io compositing stream server cache steering)
+BENCH_NAMES=(pipeline io compositing stream server steering)
 bench_binary() {
   case "$1" in
     pipeline) echo bench_pipeline_small ;;
@@ -358,7 +356,6 @@ bench_binary() {
     compositing) echo bench_compositing ;;
     stream) echo bench_stream ;;
     server) echo bench_server ;;
-    cache) echo bench_cache ;;
     steering) echo bench_steering ;;
   esac
 }
@@ -366,7 +363,7 @@ bench_binary() {
 bench_build() {
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-bench -j "$JOBS" \
-      --target bench_pipeline_small bench_io_readers bench_compositing bench_stream bench_server bench_cache bench_steering bench_report
+      --target bench_pipeline_small bench_io_readers bench_compositing bench_stream bench_server bench_steering bench_report
 }
 
 bench_gate() {
@@ -414,7 +411,6 @@ case "$MODE" in
   --trace-only) trace_smoke ;;
   --stream-only) stream_smoke ;;
   --server-chaos-only) server_chaos ;;
-  --cache-replay-only) cache_replay ;;
   slo-gate|--slo-gate-only) slo_gate ;;
   --steer-smoke-only) steer_smoke ;;
   --tsan-only) tsan ;;
@@ -422,7 +418,7 @@ case "$MODE" in
   --asan-only) asan ;;
   --bench-gate-only) bench_gate ;;
   --bench-update) bench_update ;;
-  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; cache_replay; slo_gate; steer_smoke; determinism; asan; tsan; bench_gate ;;
-  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|--cache-replay-only|slo-gate|--steer-smoke-only|--tsan-only|--determinism-only|--asan-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
+  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; slo_gate; steer_smoke; determinism; asan; tsan; bench_gate ;;
+  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|slo-gate|--steer-smoke-only|--tsan-only|--determinism-only|--asan-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
 esac
 echo "ci: OK"

@@ -71,7 +71,7 @@
 //       client's delta chain, so the first post-edit frame each viewer
 //       sees is a keyframe. Exclusive with --rebalance.
 //
-//   pipeline, insitu, serve, and replay also accept the observability flags:
+//   pipeline, insitu, and serve also accept the observability flags:
 //            [--lineage=FILE.json] [--slo-p95=S] [--slo-drop=R]
 //       --lineage arms the frame-lineage flight recorder: every frame id
 //       (step, view epoch) is tracked render -> composite -> encode ->
@@ -111,18 +111,6 @@
 //       exits non-zero on any violation. Prints edit-to-first-fresh-frame
 //       latency p50/p95 and the wasted-render ratio.
 //
-//   quakeviz replay [--requests=N] [--zipf-s=S] [--seed=S] [--clients=N]
-//            [--steps=N] [--tiers=N] [--width=W] [--height=H]
-//            [--bandwidth=BYTES_PER_S] [--latency-ms=MS]
-//            [--interval-ms=MS] [--no-verify] [--metrics-json=FILE.json]
-//       Drive the content-addressed frame cache with a zipfian request
-//       trace: N simulated clients request (timestep, tier) keyframes with
-//       zipf(s)-popular steps. A miss renders + encodes; a hit serves the
-//       stored wire bytes with no render, byte-verified against the
-//       encoder (exit non-zero on any mismatch). The cache is an LRU over
-//       64 MiB. Bit-deterministic per seed; prints hit rate vs the
-//       analytic expectation and the run digest.
-//
 //   quakeviz view --in=FILE [--out=DIR] [--metrics-json=FILE.json]
 //       Decode a --serve-record file like the remote viewer would:
 //       verify every frame (magic/CRC/delta chain), optionally write the
@@ -141,6 +129,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -158,7 +147,6 @@
 #include "quake/synthetic.hpp"
 #include "stream/control.hpp"
 #include "stream/frame_codec.hpp"
-#include "stream/replay.hpp"
 #include "stream/steer.hpp"
 #include "trace/analysis.hpp"
 #include "trace/trace.hpp"
@@ -255,17 +243,61 @@ io::Variable parse_variable(const std::string& name) {
   std::exit(2);
 }
 
+// Range-checked reals: a bad value exits 2 with a message naming the flag.
 // Link bandwidths must be positive: WanLink rejects <= 0 (the old "0 means
 // infinite" convention produced zero-virtual-time transfers), so catch the
-// bad flag here with a message naming it instead of an uncaught throw later.
-double positive_real(const Args& args, const char* flag, double fallback) {
+// bad flag here instead of as an uncaught throw later.
+double positive_real(const Args& args, const std::string& flag,
+                     double fallback) {
   const double v = args.real(flag, fallback);
   if (!(v > 0.0)) {
-    std::fprintf(stderr, "invalid value for --%s: %g (must be > 0)\n", flag,
-                 v);
+    std::fprintf(stderr, "invalid value for --%s: %g (must be > 0)\n",
+                 flag.c_str(), v);
     std::exit(2);
   }
   return v;
+}
+
+double non_negative_real(const Args& args, const std::string& flag,
+                         double fallback) {
+  const double v = args.real(flag, fallback);
+  if (!(v >= 0.0)) {
+    std::fprintf(stderr, "invalid value for --%s: %g (must be >= 0)\n",
+                 flag.c_str(), v);
+    std::exit(2);
+  }
+  return v;
+}
+
+// The fleet values every delivery command reads, under two names: pipeline
+// and insitu take --serve-clients/--serve-budget/--serve-evict-timeout, serve
+// takes --clients/--budget/--evict-timeout. Sets the server's byte budget and
+// evict timeout (their current values are the defaults) and returns the
+// client count. Out of range, each would run silently wrong: no clients
+// served, every client evicted before its first frame, or an undefined
+// double -> size_t cast for the budget.
+int parse_fleet_flags(const Args& args, const std::string& prefix,
+                      stream::ServerConfig& server) {
+  const std::string budget = prefix + "budget";
+  const double bytes = args.real(budget, double(server.queue_budget_bytes));
+  const double max_bytes = double(std::numeric_limits<std::size_t>::max());
+  if (!(bytes >= 1.0 && bytes < max_bytes)) {
+    std::fprintf(stderr,
+                 "invalid value for --%s: %g (must be >= 1 and < %g)\n",
+                 budget.c_str(), bytes, max_bytes);
+    std::exit(2);
+  }
+  server.queue_budget_bytes = std::size_t(bytes);
+  server.evict_timeout_s =
+      positive_real(args, prefix + "evict-timeout", server.evict_timeout_s);
+  const std::string clients = prefix + "clients";
+  const int count = args.num(clients, 4);
+  if (count < 1) {
+    std::fprintf(stderr, "invalid value for --%s: %d (must be >= 1)\n",
+                 clients.c_str(), count);
+    std::exit(2);
+  }
+  return count;
 }
 
 // The frame-delivery flags shared by `pipeline` and `insitu`. Any of them
@@ -279,21 +311,12 @@ void parse_serve_flags(const Args& args, stream::ServeFleetConfig& cfg) {
   for (const char* f : kServeFlags)
     if (args.flag(f)) cfg.enabled = true;
   if (!cfg.enabled) return;
-  cfg.count = args.num("serve-clients", 4);
+  cfg.count = parse_fleet_flags(args, "serve-", cfg.server);
   cfg.bandwidth_hi = positive_real(args, "serve-bandwidth-hi", 8e6);
-  // 0 disables the log spread (every client at hi); negative is nonsense.
-  cfg.bandwidth_lo = args.real("serve-bandwidth-lo", 0.0);
-  if (cfg.bandwidth_lo < 0.0) {
-    std::fprintf(stderr,
-                 "invalid value for --serve-bandwidth-lo: %g (must be >= 0)\n",
-                 cfg.bandwidth_lo);
-    std::exit(2);
-  }
-  cfg.latency_s = args.real("serve-latency-ms", 20.0) / 1000.0;
+  // 0 disables the log spread (every client at hi).
+  cfg.bandwidth_lo = non_negative_real(args, "serve-bandwidth-lo", 0.0);
+  cfg.latency_s = non_negative_real(args, "serve-latency-ms", 20.0) / 1000.0;
   cfg.outage_seed = std::uint64_t(args.num("serve-outage-seed", 0));
-  cfg.server.queue_budget_bytes =
-      std::size_t(args.real("serve-budget", double(1u << 20)));
-  cfg.server.evict_timeout_s = args.real("serve-evict-timeout", 10.0);
   cfg.server.record_path = args.str("serve-record", "");
 }
 
@@ -345,7 +368,7 @@ void track_server_report(metrics::RunReport& rr,
 }
 
 // The observability outputs of one run: --trace, --metrics-json,
-// --metrics-prom and --lineage (see the header; serve and replay take only
+// --metrics-prom and --lineage (see the header; serve takes only
 // --metrics-json and --lineage).
 struct RunOutputs {
   explicit RunOutputs(const Args& args)
@@ -418,7 +441,7 @@ struct RunOutputs {
 };
 
 // --- SLO flags --------------------------------------------------------------
-// Shared by pipeline, insitu, serve, and replay:
+// Shared by pipeline, insitu, and serve:
 //   --slo-p95=S          SLO: max acceptable p95 end-to-end frame latency.
 //   --slo-drop=R         SLO: max acceptable drop rate dropped/(sent+dropped).
 // Either --slo-* flag adds the pass/fail "slo" block to the run report
@@ -452,25 +475,6 @@ SloRequest parse_slo_flags(const Args& args, const std::string& metrics_json) {
   return s;
 }
 
-metrics::SloBlock judge_slo(const SloRequest& req, double observed_p95,
-                            double observed_drop) {
-  metrics::SloBlock b;
-  b.target_p95_s = req.target_p95_s;
-  b.max_drop_rate = req.max_drop_rate;
-  b.observed_p95_s = observed_p95;
-  b.observed_drop_rate = observed_drop;
-  b.pass = observed_p95 <= req.target_p95_s &&
-           observed_drop <= req.max_drop_rate;
-  return b;
-}
-
-void print_slo(const metrics::SloBlock& b) {
-  std::printf(
-      "slo: p95 %.4f s (target %.4f s) | drop rate %.4f (max %.4f) -> %s\n",
-      b.observed_p95_s, b.target_p95_s, b.observed_drop_rate, b.max_drop_rate,
-      b.pass ? "PASS" : "FAIL");
-}
-
 void fill_e2e_from_server(metrics::RunReport& rr,
                           const stream::ServerReport& sr) {
   metrics::E2eBlock block;
@@ -499,14 +503,23 @@ double server_drop_rate(const stream::ServerReport& sr) {
   return total > 0.0 ? double(sr.frames_dropped) / total : 0.0;
 }
 
-// SLO inputs from a delivery server's report (pipeline and insitu: an empty
-// report when no fleet is attached).
+// The SLO verdict on a delivery server's report (pipeline and insitu: an
+// empty report when no fleet is attached), printed and put in the report.
 void apply_run_slo(metrics::RunReport& rr, const SloRequest& slo,
                    const stream::ServerReport& server) {
   if (!slo.requested) return;
-  rr.slo = judge_slo(slo, pooled_percentile(server_latencies(server), 95),
-                     server_drop_rate(server));
-  print_slo(*rr.slo);
+  metrics::SloBlock b;
+  b.target_p95_s = slo.target_p95_s;
+  b.max_drop_rate = slo.max_drop_rate;
+  b.observed_p95_s = pooled_percentile(server_latencies(server), 95);
+  b.observed_drop_rate = server_drop_rate(server);
+  b.pass = b.observed_p95_s <= b.target_p95_s &&
+           b.observed_drop_rate <= b.max_drop_rate;
+  std::printf(
+      "slo: p95 %.4f s (target %.4f s) | drop rate %.4f (max %.4f) -> %s\n",
+      b.observed_p95_s, b.target_p95_s, b.observed_drop_rate, b.max_drop_rate,
+      b.pass ? "PASS" : "FAIL");
+  rr.slo = b;
 }
 
 quake::LayeredBasin default_basin(const Box3& domain) {
@@ -855,10 +868,7 @@ int cmd_serve_steered(const Args& args) {
   cfg.live = args.flag("steer-live");
   cfg.cancellation = !args.flag("steer-no-cancel");
   cfg.late_join_frame = args.num("steer-late-join", -1);
-  cfg.fleet.count = args.num("clients", 4);
-  cfg.fleet.server.queue_budget_bytes =
-      std::size_t(args.real("budget", double(1u << 20)));
-  cfg.fleet.server.evict_timeout_s = args.real("evict-timeout", 10.0);
+  cfg.fleet.count = parse_fleet_flags(args, "", cfg.fleet.server);
 
   const std::string trace_file = args.str("steer-trace", "");
   if (!trace_file.empty()) {
@@ -941,20 +951,17 @@ int cmd_serve(const Args& args) {
   cfg.steps = args.num("steps", 60);
   cfg.width = args.num("width", 128);
   cfg.height = args.num("height", 96);
-  cfg.population.fast = args.num("clients", 4);
+  if (args.flag("chaos")) cfg.server.evict_timeout_s = 0.5;
+  cfg.population.fast = parse_fleet_flags(args, "", cfg.server);
   if (args.flag("chaos")) {
     cfg.population.slow = args.num("slow", cfg.population.fast);
     cfg.population.flappers = args.num("flappers", cfg.population.fast / 2 + 1);
     cfg.population.churners = args.num("churners", cfg.population.fast / 2 + 1);
-    cfg.server.evict_timeout_s = args.real("evict-timeout", 0.5);
   } else {
     cfg.population.slow = args.num("slow", 0);
     cfg.population.flappers = args.num("flappers", 0);
     cfg.population.churners = args.num("churners", 0);
-    cfg.server.evict_timeout_s = args.real("evict-timeout", 10.0);
   }
-  cfg.server.queue_budget_bytes =
-      std::size_t(args.real("budget", double(1u << 20)));
   const RunOutputs outputs(args);
   const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
   outputs.arm();
@@ -977,86 +984,6 @@ int cmd_serve(const Args& args) {
     return 1;
   }
   std::printf("serve: all invariants held\n");
-  return 0;
-}
-
-// Zipfian request-trace replay against the content-addressed frame cache
-// (src/stream/replay.hpp): N simulated clients request (timestep, tier)
-// keyframes with zipf(s)-distributed step popularity; a miss renders +
-// encodes, a hit serves the stored wire bytes (byte-verified against the
-// encoder's output). Deterministic per seed — the digest line is stable.
-int cmd_replay(const Args& args) {
-  args.allow_only("replay",
-                  {"requests", "zipf-s", "seed", "clients", "steps", "tiers",
-                   "width", "height", "bandwidth", "latency-ms",
-                   "interval-ms", "no-verify", "metrics-json", "lineage",
-                   "slo-p95", "slo-drop"});
-  stream::ReplayConfig cfg;
-  cfg.requests = std::uint64_t(args.num("requests", 512));
-  cfg.zipf_s = args.real("zipf-s", 1.1);
-  cfg.seed = std::uint64_t(args.num("seed", 1));
-  cfg.clients = args.num("clients", 4);
-  cfg.steps = args.num("steps", 64);
-  cfg.tiers = args.num("tiers", 1);
-  cfg.width = args.num("width", 192);
-  cfg.height = args.num("height", 144);
-  cfg.link.bandwidth_bytes_per_s = positive_real(args, "bandwidth", 8e6);
-  cfg.link.latency_s = args.real("latency-ms", 20.0) / 1000.0;
-  cfg.interval_s = args.real("interval-ms", 10.0) / 1000.0;
-  cfg.verify = !args.flag("no-verify");
-  const RunOutputs outputs(args);
-  const SloRequest slo = parse_slo_flags(args, outputs.metrics_json);
-  outputs.arm();
-
-  auto rep = stream::run_replay(cfg);
-
-  const int rc = outputs.finish("replay", [&](metrics::RunReport& rr) {
-    rr.track("replay_requests", double(rep.requests), "requests");
-    rr.track("replay_renders", double(rep.renders), "frames");
-    rr.track("replay_cache_served", double(rep.cache_served), "frames");
-    rr.track("replay_hit_rate", rep.hit_rate, "ratio");
-    rr.track("replay_bytes_served", double(rep.bytes_served), "bytes");
-    rr.track("cache_evictions", double(rep.cache.evictions), "evictions");
-    rr.track("cache_resident_bytes", double(rep.cache.bytes), "bytes");
-    metrics::E2eBlock block;
-    for (const auto& c : rep.client_e2e) {
-      metrics::E2eClientStats s;
-      s.id = c.id;
-      s.frames = c.frames;
-      s.drops = 0;  // the replayer never drops: every request is shipped
-      s.p50_s = c.p50_s;
-      s.p95_s = c.p95_s;
-      block.clients.push_back(s);
-    }
-    rr.e2e = std::move(block);
-    if (slo.requested) {
-      rr.slo = judge_slo(slo, rep.e2e_p95_s, 0.0);
-      print_slo(*rr.slo);
-    }
-  });
-  if (rc != 0) return rc;
-  std::printf(
-      "replay: %llu requests | %llu rendered | %llu cache-served | "
-      "%.2f MB shipped | %llu delivered\n",
-      static_cast<unsigned long long>(rep.requests),
-      static_cast<unsigned long long>(rep.renders),
-      static_cast<unsigned long long>(rep.cache_served),
-      double(rep.bytes_served) / 1e6,
-      static_cast<unsigned long long>(rep.frames_delivered));
-  std::printf(
-      "replay: hit rate %.4f (analytic %.4f) | cache %zu entries, %.2f MB, "
-      "%llu evictions\n",
-      rep.hit_rate, rep.expected_hit_rate, rep.cache.entries,
-      double(rep.cache.bytes) / 1e6,
-      static_cast<unsigned long long>(rep.cache.evictions));
-  std::printf("replay: run digest %s\n", rep.digest.c_str());
-  if (rep.verify_failures > 0) {
-    std::fprintf(stderr,
-                 "replay: %llu VERIFY FAILURES (cache bytes != encoder "
-                 "bytes)\n",
-                 static_cast<unsigned long long>(rep.verify_failures));
-    return 1;
-  }
   return 0;
 }
 
@@ -1130,7 +1057,7 @@ int cmd_view(const Args& args) {
 void usage() {
   std::fprintf(stderr,
                "usage: quakeviz <generate|info|render|pipeline|insitu|serve|"
-               "replay|view> [--key=value ...]\n"
+               "view> [--key=value ...]\n"
                "see the header of tools/quakeviz.cpp for every option\n");
 }
 
@@ -1150,7 +1077,6 @@ int main(int argc, char** argv) {
     if (cmd == "pipeline") return cmd_pipeline(args);
     if (cmd == "insitu") return cmd_insitu(args);
     if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "replay") return cmd_replay(args);
     if (cmd == "view") return cmd_view(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
