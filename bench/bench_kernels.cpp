@@ -1,7 +1,7 @@
 // Microbenchmarks of the kernels whose measured rates calibrate the
 // machine model (google-benchmark): raycasting samples/s, quantization,
-// temporal enhancement, gradients, Morton encoding, octree point location,
-// RLE, and LIC.
+// temporal enhancement, Morton encoding, octree point location, RLE, and
+// LIC.
 //
 // This is the one bench NOT on the qv-run-report schema: google-benchmark
 // already has machine-readable output (--benchmark_format=json); use that
@@ -203,19 +203,6 @@ void BM_Lic(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * n * n);
 }
 BENCHMARK(BM_Lic)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_NodeGradients(benchmark::State& state) {
-  mesh::HexMesh mesh(mesh::LinearOctree::uniform(kUnit, 4));
-  quake::SyntheticQuake q;
-  auto mag = io::magnitude(q.sample_nodes(mesh, 1.0f), 3);
-  for (auto _ : state) {
-    auto g = io::node_gradients(mesh, mag);
-    benchmark::DoNotOptimize(g.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(mesh.node_count()));
-}
-BENCHMARK(BM_NodeGradients)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -91,53 +91,4 @@ std::vector<float> temporal_enhance(std::span<const float> value,
   return out;
 }
 
-std::vector<Vec3> node_gradients(const mesh::HexMesh& mesh,
-                                 std::span<const float> values) {
-  std::vector<Vec3> out(mesh.node_count());
-  auto positions = mesh.node_positions();
-  auto coords = mesh.node_grid_coords();
-  const Box3& dom = mesh.domain();
-  Vec3 ext = dom.extent();
-  // Step: half the finest cell edge around each node. Estimate the local
-  // cell size from the containing leaf; fall back to 1/2^maxlevel.
-  for (std::size_t n = 0; n < out.size(); ++n) {
-    Vec3 p = positions[n];
-    (void)coords;
-    mesh::HexMesh::CellSample cs;
-    float h;
-    if (mesh.locate(p, cs)) {
-      h = mesh.cell_box(cs.cell).extent().x * 0.5f;
-    } else {
-      h = ext.x / float(1u << mesh::kMaxLevel);
-    }
-    Vec3 g{};
-    for (int a = 0; a < 3; ++a) {
-      Vec3 d{};
-      if (a == 0) d.x = h;
-      if (a == 1) d.y = h;
-      if (a == 2) d.z = h;
-      float fp, fm;
-      bool okp = mesh.sample(values, p + d, fp);
-      bool okm = mesh.sample(values, p - d, fm);
-      float grad = 0.0f;
-      if (okp && okm) {
-        grad = (fp - fm) / (2.0f * h);
-      } else if (okp) {
-        float f0;
-        mesh.sample(values, p, f0);
-        grad = (fp - f0) / h;
-      } else if (okm) {
-        float f0;
-        mesh.sample(values, p, f0);
-        grad = (f0 - fm) / h;
-      }
-      if (a == 0) g.x = grad;
-      if (a == 1) g.y = grad;
-      if (a == 2) g.z = grad;
-    }
-    out[n] = g;
-  }
-  return out;
-}
-
 }  // namespace qv::io

@@ -1,14 +1,13 @@
 // Preprocessing calculations the paper runs on the *input* processors (§4):
 // quantization from 32-bit floats to 8-bit, derivation of scalar magnitude
-// from vector data, temporal-domain enhancement (§4.2), and per-node
-// gradient vectors for lighting.
+// from vector data, and temporal-domain enhancement (§4.2). Lighting
+// gradients are not precomputed: the renderer takes them from the samples
+// it interpolates (RenderBlock::sample_gradient).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "mesh/hex_mesh.hpp"
 
 namespace qv::io {
 
@@ -55,11 +54,5 @@ std::vector<float> derive_scalar(std::span<const float> interleaved,
 std::vector<float> temporal_enhance(std::span<const float> value,
                                     std::span<const float> prev,
                                     std::span<const float> next, float gain);
-
-// Per-node gradient of a scalar field by central differences at the node's
-// local cell size (used for Phong lighting). Boundary nodes fall back to
-// one-sided differences.
-std::vector<Vec3> node_gradients(const mesh::HexMesh& mesh,
-                                 std::span<const float> values);
 
 }  // namespace qv::io

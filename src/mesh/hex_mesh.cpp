@@ -135,13 +135,16 @@ std::ptrdiff_t HexMesh::find_node(GridCoord gc) const {
 bool HexMesh::locate(Vec3 p, CellSample& out) const {
   auto idx = tree_.find_leaf(p);
   if (idx < 0) return false;
-  out.cell = std::size_t(idx);
-  Box3 b = cell_box(out.cell);
-  Vec3 ext = b.extent();
-  out.u = std::clamp((p.x - b.lo.x) / ext.x, 0.0f, 1.0f);
-  out.v = std::clamp((p.y - b.lo.y) / ext.y, 0.0f, 1.0f);
-  out.w = std::clamp((p.z - b.lo.z) / ext.z, 0.0f, 1.0f);
+  out = cell_sample(std::size_t(idx), p);
   return true;
+}
+
+HexMesh::CellSample HexMesh::cell_sample(std::size_t c, Vec3 p) const {
+  Box3 b = cell_box(c);
+  Vec3 ext = b.extent();
+  return {c, std::clamp((p.x - b.lo.x) / ext.x, 0.0f, 1.0f),
+          std::clamp((p.y - b.lo.y) / ext.y, 0.0f, 1.0f),
+          std::clamp((p.z - b.lo.z) / ext.z, 0.0f, 1.0f)};
 }
 
 float HexMesh::interpolate(std::span<const float> node_values,

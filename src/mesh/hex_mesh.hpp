@@ -82,6 +82,9 @@ class HexMesh {
     float u = 0, v = 0, w = 0;  // in [0,1]^3
   };
   bool locate(Vec3 p, CellSample& out) const;
+  // What locate() answers once it has found cell `c`: p's local coordinates
+  // in c, clamped to the unit cube.
+  CellSample cell_sample(std::size_t c, Vec3 p) const;
 
   // Interpolate a node field at a located sample.
   float interpolate(std::span<const float> node_values, const CellSample& s) const;

@@ -142,24 +142,38 @@ int LinearOctree::min_leaf_level() const {
 }
 
 std::ptrdiff_t LinearOctree::find_leaf(Vec3 p) const {
-  if (!domain_.contains(p) || leaves_.empty()) return -1;
+  OctKey q;
+  if (!quantize(p, q)) return -1;
+  return find_leaf(q);
+}
+
+bool LinearOctree::quantize(Vec3 p, OctKey& q) const {
+  if (!domain_.contains(p) || leaves_.empty()) return false;
   Vec3 rel = p - domain_.lo;
   Vec3 ext = domain_.extent();
   auto grid = [&](float v, float e) {
     auto g = std::int64_t(double(v) / double(e) * double(1u << kMaxLevel));
     return std::uint32_t(std::clamp<std::int64_t>(g, 0, (1u << kMaxLevel) - 1));
   };
-  OctKey q{grid(rel.x, ext.x), grid(rel.y, ext.y), grid(rel.z, ext.z),
-           std::uint8_t(kMaxLevel)};
-  return find_leaf(q);
+  q = {grid(rel.x, ext.x), grid(rel.y, ext.y), grid(rel.z, ext.z),
+       std::uint8_t(kMaxLevel)};
+  return true;
 }
 
 std::ptrdiff_t LinearOctree::find_leaf(const OctKey& key) const {
-  auto it = std::upper_bound(leaves_.begin(), leaves_.end(), key);
-  if (it == leaves_.begin()) return -1;
-  --it;
-  if (*it == key || it->is_ancestor_of(key)) return it - leaves_.begin();
-  return -1;
+  return find_leaf(key, 0, leaves_.size());
+}
+
+std::ptrdiff_t LinearOctree::find_leaf(const OctKey& key, std::size_t first,
+                                       std::size_t last) const {
+  // find_leaf(key) answers with the last leaf at or before `key`; if that
+  // leaf lies in the range it is the range's last one too, and leaf_holds
+  // rejects any other candidate.
+  auto lo = leaves_.begin() + std::ptrdiff_t(first);
+  auto it = std::upper_bound(lo, leaves_.begin() + std::ptrdiff_t(last), key);
+  if (it == lo) return -1;
+  std::size_t i = std::size_t(it - leaves_.begin()) - 1;
+  return leaf_holds(i, key) ? std::ptrdiff_t(i) : -1;
 }
 
 bool LinearOctree::is_balanced() const {

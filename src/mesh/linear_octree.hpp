@@ -52,8 +52,25 @@ class LinearOctree {
   // the domain. Binary search in Morton order: O(log n).
   std::ptrdiff_t find_leaf(Vec3 p) const;
 
+  // The kMaxLevel key find_leaf(p) searches for. False (q untouched) when
+  // find_leaf(p) returns -1 without searching: p outside the domain, or no
+  // leaves.
+  bool quantize(Vec3 p, OctKey& q) const;
+
   // Index of the leaf equal to or containing `key`, or -1.
   std::ptrdiff_t find_leaf(const OctKey& key) const;
+
+  // find_leaf(key) when that index lies in [first, last), else -1; the
+  // binary search covers only that range.
+  std::ptrdiff_t find_leaf(const OctKey& key, std::size_t first,
+                           std::size_t last) const;
+
+  // True exactly when find_leaf(q) == i, in O(1): leaf i contains q and the
+  // next leaf does not sort at or before q. Requires i < leaf_count().
+  bool leaf_holds(std::size_t i, const OctKey& q) const {
+    return leaves_[i].is_ancestor_of(q) &&
+           (i + 1 == leaves_.size() || q < leaves_[i + 1]);
+  }
 
   // True when no leaf's face neighbor differs by more than one level.
   bool is_balanced() const;

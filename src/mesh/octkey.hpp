@@ -30,17 +30,29 @@ struct OctKey {
 
   bool operator==(const OctKey&) const = default;
 
-  // Morton code of the octant anchor expressed at kMaxLevel resolution.
-  std::uint64_t morton_at_max() const {
-    int shift = kMaxLevel - level;
-    return morton_encode(x << shift, y << shift, z << shift);
-  }
-
-  // Depth-first order: ancestors sort before their descendants.
+  // Depth-first order: the Morton order of the anchors at kMaxLevel
+  // resolution, then level, so ancestors sort before their descendants.
+  // Morton order is decided by the highest bit in which the anchors differ,
+  // so compare the coordinate whose XOR has the highest set bit; z wins ties
+  // over y and y over x, as z holds the top bit of each interleaved triple.
   std::strong_ordering operator<=>(const OctKey& o) const {
-    auto ma = morton_at_max();
-    auto mb = o.morton_at_max();
-    if (ma != mb) return ma <=> mb;
+    // True when the highest set bit of a is below that of b.
+    auto msb_less = [](std::uint32_t a, std::uint32_t b) {
+      return a < b && a < (a ^ b);
+    };
+    const int sa = kMaxLevel - level, sb = kMaxLevel - o.level;
+    std::uint32_t a = z << sa, b = o.z << sb;
+    const std::uint32_t ay = y << sa, by = o.y << sb;
+    if (msb_less(a ^ b, ay ^ by)) {
+      a = ay;
+      b = by;
+    }
+    const std::uint32_t ax = x << sa, bx = o.x << sb;
+    if (msb_less(a ^ b, ax ^ bx)) {
+      a = ax;
+      b = bx;
+    }
+    if (a != b) return a <=> b;
     return level <=> o.level;
   }
 

@@ -133,6 +133,9 @@ void RenderBlock::refresh_macro_ranges() {
 
 bool RenderBlock::locate(Vec3 p, mesh::HexMesh::CellSample& cs,
                          std::size_t* hint) const {
+  // The ray march's test: keep the hint cell while its float box contains
+  // p. On a shared face, or just inside one, this can keep a cell the
+  // quantized key of find_cell would not pick; the golden images pin it.
   if (hint && *hint >= block_.cell_begin && *hint < block_.cell_end) {
     Box3 b = mesh_->cell_box(*hint);
     if (b.contains(p)) {
@@ -141,14 +144,42 @@ bool RenderBlock::locate(Vec3 p, mesh::HexMesh::CellSample& cs,
       cs.u = (p.x - b.lo.x) / ext.x;
       cs.v = (p.y - b.lo.y) / ext.y;
       cs.w = (p.z - b.lo.z) / ext.z;
-    } else if (!mesh_->locate(p, cs)) {
-      return false;
+      return true;
     }
-  } else if (!mesh_->locate(p, cs)) {
-    return false;
   }
-  if (cs.cell < block_.cell_begin || cs.cell >= block_.cell_end) return false;
+  if (!find_cell(p, hint ? *hint : kNoCell, cs)) return false;
   if (hint) *hint = cs.cell;
+  return true;
+}
+
+bool RenderBlock::find_cell(Vec3 p, std::size_t hint,
+                            mesh::HexMesh::CellSample& cs) const {
+  // HexMesh::locate answers find_leaf(q) for p's quantized key q. That is
+  // the one leaf for which leaf_holds(i, q) is true, so a hint or macrocell
+  // leaf that holds q is the answer, and a search of the block's range
+  // finds it exactly when it lies in the block.
+  const mesh::LinearOctree& tree = mesh_->octree();
+  mesh::OctKey q;
+  if (!tree.quantize(p, q)) return false;
+  std::size_t cell = kNoCell;
+  if (hint >= block_.cell_begin && hint < block_.cell_end &&
+      tree.leaf_holds(hint, q)) {
+    cell = hint;
+  } else if (std::uint32_t m = macro_at(p); m != kNoMacro) {
+    for (std::uint32_t c = macros_[m].cell_begin; c < macros_[m].cell_end;
+         ++c) {
+      if (tree.leaf_holds(block_.cell_begin + c, q)) {
+        cell = block_.cell_begin + c;
+        break;
+      }
+    }
+  }
+  if (cell == kNoCell) {
+    auto idx = tree.find_leaf(q, block_.cell_begin, block_.cell_end);
+    if (idx < 0) return false;
+    cell = std::size_t(idx);
+  }
+  cs = mesh_->cell_sample(cell, p);
   return true;
 }
 
@@ -164,16 +195,16 @@ float RenderBlock::interpolate(const mesh::HexMesh::CellSample& cs) const {
   return c0 * (1 - w) + c1 * w;
 }
 
-bool RenderBlock::sample(Vec3 p, float& out, std::size_t* hint) const {
-  mesh::HexMesh::CellSample cs;
-  if (!locate(p, cs, hint)) return false;
-  out = interpolate(cs);
-  return true;
-}
-
-bool RenderBlock::sample_gradient(Vec3 p, float h, Vec3& out) const {
+bool RenderBlock::sample_gradient(Vec3 p, float h, Vec3& out,
+                                  std::size_t cell) const {
+  auto value_at = [&](Vec3 x, float& v) {
+    mesh::HexMesh::CellSample cs;
+    if (!find_cell(x, cell, cs)) return false;
+    v = interpolate(cs);
+    return true;
+  };
   float center;
-  if (!sample(p, center)) return false;
+  if (!value_at(p, center)) return false;
   Vec3 g{};
   for (int a = 0; a < 3; ++a) {
     Vec3 d{};
@@ -181,8 +212,8 @@ bool RenderBlock::sample_gradient(Vec3 p, float h, Vec3& out) const {
     if (a == 1) d.y = h;
     if (a == 2) d.z = h;
     float fp = center, fm = center;
-    bool okp = sample(p + d, fp);
-    bool okm = sample(p - d, fm);
+    bool okp = value_at(p + d, fp);
+    bool okm = value_at(p - d, fm);
     float denom = (okp && okm) ? 2.0f * h : h;
     float grad = (okp || okm) ? (fp - fm) / denom : 0.0f;
     if (a == 0) g.x = grad;

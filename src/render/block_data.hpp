@@ -64,27 +64,34 @@ class RenderBlock {
   // face point to the wrong side.
   std::uint32_t macro_at(Vec3 p) const;
 
-  // Trilinear scalar sample at p. False when p is not inside this block.
-  // `hint` (optional) caches the containing cell between calls: rays take
-  // many samples inside one cell before crossing into the next, so the
-  // O(log n) octree descent is skipped whenever the cached cell still
-  // contains p. Pass the same variable across consecutive samples of a ray.
-  bool sample(Vec3 p, float& out, std::size_t* hint = nullptr) const;
-
-  // Locate the cell containing p (same hint contract as sample()) without
-  // interpolating — lets the raycaster consult the macrocell table before
-  // paying for the trilinear fetch. False when p is outside this block.
+  // Locate the cell containing p without interpolating — lets the
+  // raycaster consult the macrocell table before paying for the trilinear
+  // fetch. False when p is outside this block. `hint` (optional) caches the
+  // containing cell between calls: rays take many samples inside one cell
+  // before crossing into the next, so location is skipped whenever the
+  // cached cell's box still contains p; otherwise the answer is
+  // HexMesh::locate's, if that cell is in this block. Pass the same
+  // variable across consecutive samples of a ray.
   bool locate(Vec3 p, mesh::HexMesh::CellSample& cs,
               std::size_t* hint = nullptr) const;
   // Trilinear interpolation for a cell previously located on this block.
   float interpolate(const mesh::HexMesh::CellSample& cs) const;
 
+  static constexpr std::size_t kNoCell = std::size_t(-1);
   // Central-difference gradient at p with probe distance h. Probes falling
   // outside the block clamp to the center value (one-sided estimate).
-  bool sample_gradient(Vec3 p, float h, Vec3& out) const;
+  // `cell` is a cell at or near p, such as the ray's current cell; it makes
+  // the seven locations cheap and never changes the result.
+  bool sample_gradient(Vec3 p, float h, Vec3& out,
+                       std::size_t cell = kNoCell) const;
 
  private:
   void refresh_macro_ranges();
+  // The cell HexMesh::locate(p) finds, with its clamped coordinates, when
+  // that cell is in this block; false otherwise. Searches nothing when
+  // `hint` holds p, and at most the block's own leaves otherwise.
+  bool find_cell(Vec3 p, std::size_t hint,
+                 mesh::HexMesh::CellSample& cs) const;
 
   const mesh::HexMesh* mesh_;
   octree::Block block_;

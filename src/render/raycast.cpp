@@ -109,7 +109,8 @@ void Raycaster::render_region(const Camera& camera, const RenderBlock& block,
         Vec3 color = tf.color;
         if (opt_.lighting) {
           Vec3 g;
-          if (block.sample_gradient(p, grad_h, g) && g.norm2() > 1e-12f) {
+          if (block.sample_gradient(p, grad_h, g, cs.cell) &&
+              g.norm2() > 1e-12f) {
             Vec3 n = g.normalized();
             // Headlight: light direction is the reversed ray direction.
             float lambert = std::fabs(n.dot(ray.dir));

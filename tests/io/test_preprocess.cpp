@@ -92,31 +92,5 @@ TEST(TemporalEnhance, UsesLargerOfBothDifferences) {
   EXPECT_FLOAT_EQ(e[0], 3.0f);  // 1 + max(0.5, 2.0)
 }
 
-TEST(NodeGradients, LinearFieldGradientIsConstant) {
-  Box3 unit{{0, 0, 0}, {1, 1, 1}};
-  mesh::HexMesh mesh(mesh::LinearOctree::uniform(unit, 3));
-  std::vector<float> values(mesh.node_count());
-  auto positions = mesh.node_positions();
-  for (std::size_t n = 0; n < values.size(); ++n) {
-    Vec3 p = positions[n];
-    values[n] = 2.0f * p.x - 1.0f * p.y + 3.0f * p.z;
-  }
-  auto grads = node_gradients(mesh, values);
-  // Check interior nodes (boundary nodes use one-sided stencils with the
-  // same exact result for a linear field).
-  int checked = 0;
-  for (std::size_t n = 0; n < grads.size(); ++n) {
-    Vec3 p = positions[n];
-    if (p.x < 0.2f || p.x > 0.8f || p.y < 0.2f || p.y > 0.8f || p.z < 0.2f ||
-        p.z > 0.8f)
-      continue;
-    EXPECT_NEAR(grads[n].x, 2.0f, 1e-2f);
-    EXPECT_NEAR(grads[n].y, -1.0f, 1e-2f);
-    EXPECT_NEAR(grads[n].z, 3.0f, 1e-2f);
-    ++checked;
-  }
-  EXPECT_GT(checked, 20);
-}
-
 }  // namespace
 }  // namespace qv::io

@@ -76,6 +76,116 @@ TEST(LinearOctree, FindLeafOutsideDomain) {
   EXPECT_EQ(t.find_leaf(Vec3{0.5f, 0.5f, 1.5f}), -1);
 }
 
+// The three tree shapes the renderer sees (uniform, balanced adaptive, and
+// an adaptive tree clipped to a rendering level), plus a from_leaves set in
+// which some leaves contain others: only there can a leaf contain a key
+// while a later leaf still sorts at or before it.
+std::vector<LinearOctree> range_test_trees() {
+  auto size = [](Vec3 p) { return 0.02f + 0.3f * p.z + 0.1f * p.x; };
+  auto adaptive = LinearOctree::build(kUnit, size, 1, 6);
+  auto coarse = LinearOctree::uniform(kUnit, 2);
+  std::vector<OctKey> nested(coarse.leaves().begin(), coarse.leaves().end());
+  for (std::size_t i = 0; i < 64; i += 3) {
+    nested.push_back(nested[i].child(int(i % 8)));
+    nested.push_back(nested[i].child(0).child(7));
+  }
+  return {LinearOctree::uniform(kUnit, 3), adaptive, adaptive.clipped(4),
+          LinearOctree::from_leaves(kUnit, std::move(nested))};
+}
+
+// Keys find_leaf meets: quantized random points, quantized leaf corners,
+// and keys at every level (a coarse key covered by finer leaves has no
+// containing leaf).
+OctKey random_probe_key(const LinearOctree& t, Rng& rng) {
+  OctKey q;
+  switch (rng.next_below(3)) {
+    case 0: {
+      Vec3 p{rng.next_float(), rng.next_float(), rng.next_float()};
+      EXPECT_TRUE(t.quantize(p, q));
+      return q;
+    }
+    case 1: {
+      Box3 b = t.leaves()[rng.next_below(t.leaf_count())].box(kUnit);
+      Vec3 p{rng.next_below(2) ? b.hi.x : b.lo.x,
+             rng.next_below(2) ? b.hi.y : b.lo.y,
+             rng.next_below(2) ? b.hi.z : b.lo.z};
+      EXPECT_TRUE(t.quantize(p, q));
+      return q;
+    }
+    default: {
+      auto level = std::uint8_t(rng.next_below(kMaxLevel + 1));
+      std::uint64_t side = 1ull << level;
+      return {std::uint32_t(rng.next_below(side)),
+              std::uint32_t(rng.next_below(side)),
+              std::uint32_t(rng.next_below(side)), level};
+    }
+  }
+}
+
+TEST(LinearOctree, QuantizeIsTheKeyFindLeafSearches) {
+  for (const LinearOctree& t : range_test_trees()) {
+    Rng rng(13);
+    for (int i = 0; i < 2000; ++i) {
+      Vec3 p{rng.next_float(), rng.next_float(), rng.next_float()};
+      OctKey q;
+      ASSERT_TRUE(t.quantize(p, q));
+      EXPECT_EQ(q.level, kMaxLevel);
+      EXPECT_EQ(t.find_leaf(q), t.find_leaf(p));
+    }
+    OctKey q;
+    EXPECT_FALSE(t.quantize(Vec3{-0.1f, 0.5f, 0.5f}, q));
+    EXPECT_FALSE(t.quantize(Vec3{0.5f, 0.5f, 1.5f}, q));
+  }
+}
+
+// find_leaf(key, first, last) answers find_leaf(key) when that lies in the
+// range and -1 otherwise, for arbitrary ranges and for block ranges.
+TEST(LinearOctree, RangedFindLeafAnswersOnlyInsideTheRange) {
+  for (const LinearOctree& t : range_test_trees()) {
+    SCOPED_TRACE(::testing::Message() << t.leaf_count() << " leaves");
+    const std::size_t n = t.leaf_count();
+    std::vector<std::pair<std::size_t, std::size_t>> ranges = {{0, n}, {0, 0}};
+    for (std::uint32_t b = 0; b < 8; ++b)
+      ranges.push_back(t.subtree_range(OctKey{}.child(int(b))));
+    Rng rng(29);
+    for (int i = 0; i < 20000; ++i) {
+      OctKey key = random_probe_key(t, rng);
+      std::ptrdiff_t want_global = t.find_leaf(key);
+      auto [first, last] = ranges[rng.next_below(ranges.size())];
+      if (i % 2) {
+        first = rng.next_below(n + 1);
+        last = first + rng.next_below(n - first + 1);
+      }
+      bool inside = want_global >= std::ptrdiff_t(first) &&
+                    want_global < std::ptrdiff_t(last);
+      ASSERT_EQ(t.find_leaf(key, first, last), inside ? want_global : -1)
+          << "key (" << key.x << "," << key.y << "," << key.z << ")@"
+          << int(key.level) << " range [" << first << "," << last << ")";
+    }
+  }
+}
+
+// leaf_holds(i, q) is true exactly when find_leaf(q) == i, including at the
+// last leaf, where there is no next leaf to compare with.
+TEST(LinearOctree, LeafHoldsIsFindLeafEquality) {
+  for (const LinearOctree& t : range_test_trees()) {
+    const std::size_t n = t.leaf_count();
+    Rng rng(31);
+    for (int i = 0; i < 20000; ++i) {
+      OctKey key = random_probe_key(t, rng);
+      std::ptrdiff_t found = t.find_leaf(key);
+      std::size_t near = found >= 0 ? std::size_t(found) : rng.next_below(n);
+      for (std::size_t cand : {near, near + 1, near - 1, std::size_t(0), n - 1,
+                               std::size_t(rng.next_below(n))}) {
+        if (cand >= n) continue;
+        ASSERT_EQ(t.leaf_holds(cand, key), found == std::ptrdiff_t(cand))
+            << "leaf " << cand << " key (" << key.x << "," << key.y << ","
+            << key.z << ")@" << int(key.level);
+      }
+    }
+  }
+}
+
 TEST(LinearOctree, ClippedCoarsensDeepLeaves) {
   auto size = [](Vec3) { return 0.06f; };  // forces level >= 5 everywhere
   auto t = LinearOctree::build(kUnit, size, 2, 5);

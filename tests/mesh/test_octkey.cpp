@@ -60,6 +60,56 @@ TEST(OctKey, DepthFirstOrdering) {
   EXPECT_LT(a, b);
 }
 
+// operator<=> interleaves no bits, yet must order exactly as the Morton code
+// of the anchor at kMaxLevel resolution, then the level.
+TEST(OctKey, OrderMatchesMortonAtMaxLevelThenLevel) {
+  auto reference = [](const OctKey& a, const OctKey& b) {
+    auto code = [](const OctKey& k) {
+      int s = kMaxLevel - k.level;
+      return morton_encode(k.x << s, k.y << s, k.z << s);
+    };
+    if (code(a) != code(b)) return code(a) <=> code(b);
+    return a.level <=> b.level;
+  };
+  Rng rng(41);
+  auto random_key = [&rng] {
+    auto level = std::uint8_t(rng.next_below(kMaxLevel + 1));
+    std::uint64_t side = 1ull << level;
+    return OctKey{std::uint32_t(rng.next_below(side)),
+                  std::uint32_t(rng.next_below(side)),
+                  std::uint32_t(rng.next_below(side)), level};
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    OctKey a = random_key();
+    OctKey b = a;
+    switch (i % 5) {
+      case 0:  // unrelated keys
+        b = random_key();
+        break;
+      case 1:  // equal keys
+        break;
+      case 2:  // an ancestor, which may or may not share the anchor
+        b = a.ancestor(int(rng.next_below(a.level + 1u)));
+        break;
+      case 3:  // a descendant that shares the anchor
+        for (int d = int(rng.next_below(kMaxLevel - a.level + 1u)); d > 0; --d)
+          b = b.child(0);
+        break;
+      default: {  // same level, differing only in low bits: msb ties
+        std::uint64_t mask = (1ull << rng.next_below(a.level + 1u)) - 1;
+        b.x ^= std::uint32_t(rng.next_below(mask + 1));
+        b.y ^= std::uint32_t(rng.next_below(mask + 1));
+        b.z ^= std::uint32_t(rng.next_below(mask + 1));
+        break;
+      }
+    }
+    ASSERT_TRUE((a <=> b) == reference(a, b) && (b <=> a) == reference(b, a))
+        << "pair " << i << ": (" << a.x << "," << a.y << "," << a.z << ")@"
+        << int(a.level) << " vs (" << b.x << "," << b.y << "," << b.z
+        << ")@" << int(b.level);
+  }
+}
+
 TEST(OctKey, FaceNeighborInterior) {
   OctKey k{2, 2, 2, 3};
   OctKey n;

@@ -1,11 +1,14 @@
-// Golden-image regression: two small canonical frames (unlit and lit) are
-// pinned by the SHA-256 of their 8-bit tone-mapped bytes. Any change to the
-// transfer function, sampling, compositing, or shading math that shifts
-// even one output byte fails loudly here instead of silently drifting the
-// figures. If a change is *intended* to alter output, re-baseline by
-// copying the printed actual hashes into kGoldenUnlit / kGoldenLit —
-// deliberately, in the same commit as the change.
+// Golden-image regression: small canonical frames (unlit and lit on a
+// uniform mesh, lit on an adaptive one) are pinned by the SHA-256 of their
+// 8-bit tone-mapped bytes. Any change to the transfer function, sampling,
+// compositing, or shading math that shifts even one output byte fails
+// loudly here instead of silently drifting the figures. If a change is
+// *intended* to alter output, re-baseline by
+// copying the printed actual hashes into kGoldenUnlit / kGoldenLit /
+// kGoldenAdaptiveLit — deliberately, in the same commit as the change.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "io/block_index.hpp"
 #include "quake/synthetic.hpp"
@@ -22,9 +25,11 @@ constexpr const char* kGoldenUnlit =
     "c154838b2a065942058b73248fdbf856b0e6c803c33a7d2db874c335d0e8eda0";
 constexpr const char* kGoldenLit =
     "38f5d51d65d01bf0ebb26a6933d7743025ecc25649da664a169403be3de9c846";
+constexpr const char* kGoldenAdaptiveLit =
+    "3a05d71d5aae166d9b763cafd4325ff1015f60f8d823f01a0ee07dd9c3a84663";
 
-std::string canonical_frame_hash(bool lighting, int threads = 1) {
-  mesh::HexMesh mesh(mesh::LinearOctree::uniform(kUnit, 3));
+std::string frame_hash(mesh::LinearOctree tree, bool lighting, int threads) {
+  mesh::HexMesh mesh(std::move(tree));
   auto blocks = octree::decompose(mesh.octree(), 1);
   io::BlockNodeIndex index(mesh, blocks);
   std::vector<RenderBlock> rblocks;
@@ -54,6 +59,20 @@ std::string canonical_frame_hash(bool lighting, int threads = 1) {
   return util::Sha256::hex(bytes.data(), bytes.byte_count());
 }
 
+std::string canonical_frame_hash(bool lighting, int threads = 1) {
+  return frame_hash(mesh::LinearOctree::uniform(kUnit, 3), lighting, threads);
+}
+
+// Balanced and refined toward one interior point, so it has several leaf
+// levels, hanging faces and single-leaf macrocells, which the uniform
+// canonical mesh lacks.
+mesh::LinearOctree adaptive_tree() {
+  return mesh::LinearOctree::build(
+      kUnit,
+      [](Vec3 p) { return 0.04f + 0.3f * (p - Vec3{0.3f, 0.6f, 0.4f}).norm(); },
+      1, 5);
+}
+
 TEST(GoldenImage, UnlitCanonicalFrame) {
   std::string got = canonical_frame_hash(false);
   EXPECT_EQ(got, kGoldenUnlit)
@@ -66,6 +85,19 @@ TEST(GoldenImage, LitCanonicalFrame) {
   EXPECT_EQ(got, kGoldenLit)
       << "canonical lit frame changed; if intended, set kGoldenLit to "
       << got;
+}
+
+TEST(GoldenImage, AdaptiveLitFrame) {
+  mesh::LinearOctree tree = adaptive_tree();
+  ASSERT_TRUE(tree.is_balanced());
+  std::set<int> levels;
+  for (const mesh::OctKey& k : tree.leaves()) levels.insert(int(k.level));
+  ASSERT_GE(levels.size(), 3u);
+  std::string got = frame_hash(std::move(tree), true, 1);
+  EXPECT_EQ(got, kGoldenAdaptiveLit)
+      << "adaptive lit frame changed; if intended, set kGoldenAdaptiveLit to "
+      << got;
+  EXPECT_EQ(frame_hash(adaptive_tree(), true, 4), got);
 }
 
 // The hash must not depend on the execution schedule: threaded rendering of

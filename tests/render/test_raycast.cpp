@@ -52,8 +52,9 @@ TEST(RenderBlock, SampleMatchesMeshInterpolation) {
   for (int i = 0; i < 500; ++i) {
     Vec3 p{rng.next_float(), rng.next_float(), rng.next_float()};
     for (std::size_t b = 0; b < scene.rblocks.size(); ++b) {
-      float v;
-      if (scene.rblocks[b].sample(p, v)) {
+      mesh::HexMesh::CellSample cs;
+      if (scene.rblocks[b].locate(p, cs)) {
+        float v = scene.rblocks[b].interpolate(cs);
         ++inside;
         // Trilinear on node samples of a bilinear-in-xy field is exact at
         // the sample point only for multilinear fields; x*y is bilinear, so
@@ -72,8 +73,8 @@ TEST(RenderBlock, SampleRejectsOtherBlocksRegion) {
   Vec3 p = scene.blocks[0].bounds.center();
   int claims = 0;
   for (const auto& rb : scene.rblocks) {
-    float v;
-    if (rb.sample(p, v)) ++claims;
+    mesh::HexMesh::CellSample cs;
+    if (rb.locate(p, cs)) ++claims;
   }
   EXPECT_EQ(claims, 1);
 }

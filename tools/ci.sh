@@ -6,8 +6,8 @@
 # produce passing e2e-latency verdicts and flight-recorder dumps the
 # validator accepts), a ThreadSanitizer pass over the message-passing
 # runtime and the parallel renderer, a determinism/fuzz stage run under two
-# seeds, the same fuzz walls plus the pipeline and record-file suites under
-# AddressSanitizer + UBSan, and the benchmark gate.
+# seeds, the same fuzz walls plus the pipeline, record-file and mesh
+# location suites under AddressSanitizer + UBSan, and the benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
 #                     --server-chaos-only|slo-gate|--steer-smoke-only|
 #                     --tsan-only|--determinism-only|--asan-only|
@@ -329,10 +329,11 @@ determinism() {
 }
 
 asan() {
-  echo "== asan: fuzz walls + pipeline suites under AddressSanitizer + UBSan =="
+  echo "== asan: fuzz walls + pipeline and mesh suites under AddressSanitizer + UBSan =="
   cmake -B build-asan -S . -DQV_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build build-asan -j "$JOBS" --target "${FUZZ_TARGETS[@]}" test_pipeline
+  cmake --build build-asan -j "$JOBS" --target "${FUZZ_TARGETS[@]}" \
+      test_pipeline test_mesh
   # halt_on_error turns the first out-of-bounds access or undefined
   # behaviour into a hard failure, not a log line.
   local -x ASAN_OPTIONS=halt_on_error=1
@@ -345,6 +346,9 @@ asan() {
       --gtest_filter='BlockMsg.*:FrameMsg.*:PipelineTest.*:FaultPipelineTest.*:Insitu.*'
   # The --serve-record file reader on truncated and corrupt captures.
   ./build-asan/tests/test_stream --gtest_filter='StreamRecordTest.*'
+  # Key order and point location: leaf_holds reads the leaf after the one
+  # it tests, up to the last leaf of the tree.
+  ./build-asan/tests/test_mesh --gtest_filter='OctKey.*:LinearOctree.*:HexMesh.*'
 }
 
 # The tracked benches and where their committed baselines live.
