@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "img/rle.hpp"
 #include "metrics/metrics.hpp"
@@ -11,16 +14,7 @@ namespace qv::compositing {
 
 namespace {
 
-struct PieceHeader {
-  std::uint32_t order;
-  std::int32_t x0, y0, x1, y1;
-  std::uint8_t compressed;
-  std::uint8_t pad[3];
-  std::uint64_t payload_bytes;
-};
-static_assert(sizeof(PieceHeader) == 32);
-
-// Active-pixel framing (see common.hpp for the layout contract).
+// QVPS framing (see common.hpp for the layout contract).
 constexpr std::uint32_t kStreamMagic = 0x53505651u;  // "QVPS" little-endian
 constexpr std::uint32_t kPieceMagic = 0x32505651u;   // "QVP2" little-endian
 
@@ -32,7 +26,7 @@ struct StreamHeader {
 };
 static_assert(sizeof(StreamHeader) == 16);
 
-struct FramedPieceHeader {
+struct PieceFrameHeader {
   std::uint32_t magic;
   std::uint32_t order;
   std::int32_t x0, y0, x1, y1;
@@ -41,7 +35,7 @@ struct FramedPieceHeader {
   std::uint8_t pad[3];    // must be zero
   std::uint32_t header_crc;  // crc32 over the 32 bytes above
 };
-static_assert(sizeof(FramedPieceHeader) == 36);
+static_assert(sizeof(PieceFrameHeader) == 36);
 
 void write_with_crc(std::vector<std::uint8_t>& buf, std::size_t pos,
                     const void* header, std::size_t size) {
@@ -49,6 +43,32 @@ void write_with_crc(std::vector<std::uint8_t>& buf, std::size_t pos,
   std::uint32_t crc = util::crc32(
       std::span<const std::uint8_t>(buf.data() + pos, size - sizeof(crc)));
   std::memcpy(buf.data() + pos + size - sizeof(crc), &crc, sizeof(crc));
+}
+
+// The one sub-rect copy: the pixels of `rect` from `src` (row-major over
+// `src_rect`) to `dst` (row-major over `dst_rect`); `rect` must lie inside
+// both.
+void copy_rect(const img::Rgba* src, ScreenRect src_rect, img::Rgba* dst,
+               ScreenRect dst_rect, ScreenRect rect) {
+  if (rect.empty()) return;
+  auto at = [](ScreenRect r, int x, int y) {
+    return std::size_t(y - r.y0) * std::size_t(r.width()) +
+           std::size_t(x - r.x0);
+  };
+  for (int y = rect.y0; y < rect.y1; ++y) {
+    std::memcpy(dst + at(dst_rect, rect.x0, y), src + at(src_rect, rect.x0, y),
+                std::size_t(rect.width()) * sizeof(img::Rgba));
+  }
+}
+
+Piece sub_piece(std::uint32_t order, const img::Rgba* src, ScreenRect src_rect,
+                ScreenRect rect) {
+  Piece p;
+  p.order = order;
+  p.rect = rect;
+  p.pixels.resize(std::size_t(rect.width()) * std::size_t(rect.height()));
+  copy_rect(src, src_rect, p.pixels.data(), rect, rect);
+  return p;
 }
 
 }  // namespace
@@ -62,81 +82,18 @@ void record_stats(const CompositeStats& s) {
   pixels_sent.add(s.pixels_sent);
 }
 
+ScreenRect intersect(ScreenRect a, ScreenRect b) {
+  return {std::max(a.x0, b.x0), std::max(a.y0, b.y0), std::min(a.x1, b.x1),
+          std::min(a.y1, b.y1)};
+}
+
 Piece extract_piece(const PartialImage& partial, ScreenRect rect) {
-  Piece p;
-  p.order = partial.order;
-  p.rect = rect;
-  p.pixels.resize(std::size_t(rect.width()) * std::size_t(rect.height()));
-  for (int y = rect.y0; y < rect.y1; ++y) {
-    for (int x = rect.x0; x < rect.x1; ++x) {
-      p.pixels[std::size_t(y - rect.y0) * std::size_t(rect.width()) +
-               std::size_t(x - rect.x0)] = partial.at_screen(x, y);
-    }
-  }
-  return p;
+  return sub_piece(partial.order, partial.pixels.pixels().data(),
+                   partial.rect, rect);
 }
 
-void pack_piece(const Piece& piece, bool compress,
-                std::vector<std::uint8_t>& buf) {
-  PieceHeader h{};
-  h.order = piece.order;
-  h.x0 = piece.rect.x0;
-  h.y0 = piece.rect.y0;
-  h.x1 = piece.rect.x1;
-  h.y1 = piece.rect.y1;
-  h.compressed = compress ? 1 : 0;
-
-  std::size_t header_pos = buf.size();
-  buf.resize(buf.size() + sizeof(PieceHeader));
-  std::size_t payload_pos = buf.size();
-  if (compress) {
-    img::rle_encode(piece.pixels, buf);
-  } else {
-    std::size_t bytes = piece.pixels.size() * sizeof(img::Rgba);
-    buf.resize(buf.size() + bytes);
-    std::memcpy(buf.data() + payload_pos, piece.pixels.data(), bytes);
-  }
-  h.payload_bytes = buf.size() - payload_pos;
-  std::memcpy(buf.data() + header_pos, &h, sizeof(h));
-}
-
-std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf,
-                                 int max_width, int max_height) {
-  std::vector<Piece> out;
-  std::size_t pos = 0;
-  while (pos + sizeof(PieceHeader) <= buf.size()) {
-    PieceHeader h;
-    std::memcpy(&h, buf.data() + pos, sizeof(h));
-    pos += sizeof(h);
-    // Only the first header of a message lies in the transport's trusted
-    // prefix: bound every rect by the image and every payload by the
-    // message before sizing anything from them.
-    if (h.x0 < 0 || h.y0 < 0 || h.x1 < h.x0 || h.y1 < h.y0 ||
-        h.x1 > max_width || h.y1 > max_height)
-      throw std::runtime_error("compositing: piece rect outside the image");
-    if (h.payload_bytes > buf.size() - pos)
-      throw std::runtime_error("compositing: truncated piece payload");
-    Piece p;
-    p.order = h.order;
-    p.rect = {h.x0, h.y0, h.x1, h.y1};
-    std::size_t count = std::size_t(p.rect.width()) * std::size_t(p.rect.height());
-    if (!h.compressed && count * sizeof(img::Rgba) != h.payload_bytes)
-      throw std::runtime_error("compositing: piece payload size mismatch");
-    p.pixels.resize(count);
-    if (h.compressed) {
-      auto used = img::rle_decode(buf.first(pos + h.payload_bytes), pos,
-                                  p.pixels);
-      if (!used || *used != h.payload_bytes)
-        throw std::runtime_error("compositing: corrupt RLE piece");
-    } else {
-      std::memcpy(p.pixels.data(), buf.data() + pos, h.payload_bytes);
-    }
-    pos += h.payload_bytes;
-    out.push_back(std::move(p));
-  }
-  if (pos != buf.size())
-    throw std::runtime_error("compositing: truncated piece header");
-  return out;
+Piece clip_piece(const Piece& p, ScreenRect rect) {
+  return sub_piece(p.order, p.pixels.data(), p.rect, rect);
 }
 
 ScreenRect active_bbox(const Piece& piece) {
@@ -169,7 +126,7 @@ void PieceStreamWriter::add(const Piece& piece) {
   pixels_ += piece.pixels.size();
   count_ += 1;
 
-  FramedPieceHeader h{};
+  PieceFrameHeader h{};
   h.magic = kPieceMagic;
   h.order = piece.order;
   ScreenRect rect = piece.rect;
@@ -188,20 +145,7 @@ void PieceStreamWriter::add(const Piece& piece) {
   buf_.resize(buf_.size() + sizeof(h));
   std::size_t payload_pos = buf_.size();
   if (compress_) {
-    if (!rect.empty()) {
-      std::vector<img::Rgba> sub(std::size_t(rect.width()) *
-                                 std::size_t(rect.height()));
-      for (int y = rect.y0; y < rect.y1; ++y) {
-        std::memcpy(
-            sub.data() + std::size_t(y - rect.y0) * std::size_t(rect.width()),
-            piece.pixels.data() +
-                std::size_t(y - piece.rect.y0) *
-                    std::size_t(piece.rect.width()) +
-                std::size_t(rect.x0 - piece.rect.x0),
-            std::size_t(rect.width()) * sizeof(img::Rgba));
-      }
-      img::rle_encode(sub, buf_);
-    }
+    if (!rect.empty()) img::rle_encode(clip_piece(piece, rect).pixels, buf_);
   } else {
     std::size_t bytes = piece.pixels.size() * sizeof(img::Rgba);
     buf_.resize(buf_.size() + bytes);
@@ -224,7 +168,7 @@ std::vector<std::uint8_t> PieceStreamWriter::finish() {
   return std::move(buf_);
 }
 
-std::optional<std::vector<Piece>> unpack_piece_stream(
+std::optional<std::vector<Piece>> decode_piece_stream(
     std::span<const std::uint8_t> buf, int max_width, int max_height) {
   StreamHeader sh;
   if (buf.size() < sizeof(sh)) return std::nullopt;
@@ -233,7 +177,7 @@ std::optional<std::vector<Piece>> unpack_piece_stream(
   if (sh.header_crc != util::crc32(buf.first(sizeof(sh) - 4)))
     return std::nullopt;
   if (sh.total_bytes != buf.size()) return std::nullopt;
-  if (std::uint64_t(sh.piece_count) * sizeof(FramedPieceHeader) >
+  if (std::uint64_t(sh.piece_count) * sizeof(PieceFrameHeader) >
       buf.size() - sizeof(sh))
     return std::nullopt;
 
@@ -241,7 +185,7 @@ std::optional<std::vector<Piece>> unpack_piece_stream(
   out.reserve(sh.piece_count);
   std::size_t pos = sizeof(sh);
   for (std::uint32_t i = 0; i < sh.piece_count; ++i) {
-    FramedPieceHeader h;
+    PieceFrameHeader h;
     if (buf.size() - pos < sizeof(h)) return std::nullopt;
     std::memcpy(&h, buf.data() + pos, sizeof(h));
     if (h.magic != kPieceMagic) return std::nullopt;
@@ -275,6 +219,57 @@ std::optional<std::vector<Piece>> unpack_piece_stream(
   }
   if (pos != buf.size()) return std::nullopt;
   return out;
+}
+
+std::size_t send_pieces(vmpi::Comm& comm, int dest, int tag,
+                        PieceStreamWriter& writer, CompositeStats& stats) {
+  const std::vector<std::uint8_t> msg = writer.finish();
+  stats.messages += 1;
+  stats.bytes_sent += msg.size();
+  stats.pixels_sent += writer.pixels_added();
+  comm.send(dest, tag, msg);
+  return msg.size();
+}
+
+void recv_pieces(vmpi::Comm& comm, int source, int tag, int width,
+                 int height, std::vector<Piece>& out) {
+  std::vector<std::uint8_t> msg;
+  comm.recv(source, tag, msg);
+  auto got = decode_piece_stream(msg, width, height);
+  if (!got)
+    throw std::runtime_error("compositing: corrupt piece message from rank " +
+                             std::to_string(source));
+  out.insert(out.end(), std::make_move_iterator(got->begin()),
+             std::make_move_iterator(got->end()));
+}
+
+img::Image gather_tiles(vmpi::Comm& comm, int root, int tag,
+                        const std::vector<bool>& senders,
+                        std::span<const Piece> tiles, int width, int height,
+                        bool compress, CompositeStats& stats) {
+  if (comm.rank() != root) {
+    if (senders[std::size_t(comm.rank())]) {
+      PieceStreamWriter writer(compress);
+      for (const Piece& t : tiles)
+        if (!t.rect.empty()) writer.add(t);
+      send_pieces(comm, root, tag, writer, stats);
+    }
+    return {};
+  }
+  img::Image image(width, height);
+  const ScreenRect frame{0, 0, width, height};
+  auto paste = [&](const Piece& p) {
+    copy_rect(p.pixels.data(), p.rect, image.pixels().data(), frame, p.rect);
+  };
+  for (const Piece& t : tiles) paste(t);
+  std::vector<Piece> got;
+  for (int r = 0; r < comm.size(); ++r) {
+    if (r == root || !senders[std::size_t(r)]) continue;
+    got.clear();
+    recv_pieces(comm, r, tag, width, height, got);
+    for (const Piece& p : got) paste(p);
+  }
+  return image;
 }
 
 void composite_pieces(std::vector<Piece>& pieces, img::Image& out, int ox,

@@ -1,7 +1,9 @@
 // Shared machinery for the sort-last parallel compositing algorithms
-// (§4.4): the wire format for exchanged image pieces (optionally
-// RLE-compressed — the paper's conclusion measures ~50% savings), piece
-// extraction from partial images, and statistics counters.
+// (§4.4): the one wire format for exchanged image pieces (optionally
+// active-pixel RLE-compressed — the paper's conclusion measures ~50%
+// savings), the one exchange path every algorithm sends, receives and
+// gathers through, piece extraction from partial images, and statistics
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,9 @@ struct Piece {
   std::vector<img::Rgba> pixels;  // row-major, rect.width() * rect.height()
 };
 
+// One rank's traffic. Counted by send_pieces() alone, so it is exactly what
+// left the rank: one message per point-to-point send (no rank sends to
+// itself), its bytes on the wire, and its pre-compression pixel count.
 struct CompositeStats {
   std::uint64_t messages = 0;        // point-to-point messages sent
   std::uint64_t bytes_sent = 0;      // total payload sent by this rank
@@ -46,20 +51,17 @@ struct CompositeStats {
 // Every algorithm calls this once per invocation just before returning.
 void record_stats(const CompositeStats& s);
 
+// Overlap of two rects; empty() when they are disjoint.
+ScreenRect intersect(ScreenRect a, ScreenRect b);
+
 // Extract `rect` (screen coordinates, must be inside partial.rect) from a
 // partial image as a Piece.
 Piece extract_piece(const PartialImage& partial, ScreenRect rect);
 
-// Append a serialized piece to `buf`; `compress` selects RLE pixel payload.
-void pack_piece(const Piece& piece, bool compress, std::vector<std::uint8_t>& buf);
+// Copy `rect` (must be inside p.rect) out of an existing piece.
+Piece clip_piece(const Piece& p, ScreenRect rect);
 
-// Unpack all pieces in a message. Piece rects must lie inside a
-// max_width x max_height image; a malformed piece throws a "compositing:"
-// std::runtime_error before anything is sized from it.
-std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf,
-                                 int max_width, int max_height);
-
-// --- active-pixel wire format (radix-k / binary-swap exchange) --------------
+// --- the piece wire format (QVPS), shared by every algorithm -----------------
 //
 // A hardened, self-validating framing for piece exchange. Layout:
 //
@@ -67,7 +69,7 @@ std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf,
 //   [PieceFrame       ]*  repeated piece_count times, back to back
 //
 //   PieceFrame:
-//   [FramedPieceHeader 36 B]  magic "QVP2" | order | x0 y0 x1 y1 |
+//   [PieceFrameHeader 36 B]   magic "QVP2" | order | x0 y0 x1 y1 |
 //                             payload_bytes | encoding | pad[3] | crc32
 //   [payload payload_bytes B] kRaw: rect.w*rect.h raw Rgba values
 //                             kActiveRle: RLE of the active-pixel bbox
@@ -108,8 +110,31 @@ class PieceStreamWriter {
 // Decode a full message produced by PieceStreamWriter. `max_width` /
 // `max_height` bound the acceptable piece rects (the screen size). Returns
 // nullopt on any malformation; never throws, never returns a partial list.
-std::optional<std::vector<Piece>> unpack_piece_stream(
+std::optional<std::vector<Piece>> decode_piece_stream(
     std::span<const std::uint8_t> buf, int max_width, int max_height);
+
+// --- the exchange path --------------------------------------------------------
+
+// Finish `writer` and send it to `dest` as one message, counted once in
+// `stats`. Returns the message size in bytes.
+std::size_t send_pieces(vmpi::Comm& comm, int dest, int tag,
+                        PieceStreamWriter& writer, CompositeStats& stats);
+
+// Receive one message from `source`, decode it and append its pieces to
+// `out`. A malformed message throws std::runtime_error("compositing:
+// corrupt piece message from rank N").
+void recv_pieces(vmpi::Comm& comm, int source, int tag, int width,
+                 int height, std::vector<Piece>& out);
+
+// Deliver composited tiles (disjoint across ranks) to `root`. Every rank r
+// != root with senders[r] set sends its non-empty `tiles` as one message;
+// the root pastes its own tiles and every received one into a width x
+// height frame, which it returns. Other ranks get an empty image. Every
+// rank must pass the same `senders`.
+img::Image gather_tiles(vmpi::Comm& comm, int root, int tag,
+                        const std::vector<bool>& senders,
+                        std::span<const Piece> tiles, int width, int height,
+                        bool compress, CompositeStats& stats);
 
 // Composite `pieces` (sorted by order internally, front-to-back) into `out`
 // over the region each piece covers. `out` is in screen coordinates

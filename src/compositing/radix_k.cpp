@@ -1,6 +1,6 @@
 #include "compositing/radix_k.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
 #include "metrics/metrics.hpp"
@@ -10,34 +10,9 @@
 namespace qv::compositing {
 
 namespace {
-
 constexpr int kTagFold = 930;
 constexpr int kTagRoundBase = 931;  // + round index
 constexpr int kTagGather = 959;
-
-// Copy `rect` (must be inside p.rect) out of an existing piece.
-Piece clip_piece(const Piece& p, ScreenRect rect) {
-  Piece out;
-  out.order = p.order;
-  out.rect = rect;
-  out.pixels.resize(std::size_t(rect.width()) * std::size_t(rect.height()));
-  for (int y = rect.y0; y < rect.y1; ++y) {
-    std::memcpy(
-        out.pixels.data() +
-            std::size_t(y - rect.y0) * std::size_t(rect.width()),
-        p.pixels.data() +
-            std::size_t(y - p.rect.y0) * std::size_t(p.rect.width()) +
-            std::size_t(rect.x0 - p.rect.x0),
-        std::size_t(rect.width()) * sizeof(img::Rgba));
-  }
-  return out;
-}
-
-ScreenRect intersect(ScreenRect a, ScreenRect b) {
-  return {std::max(a.x0, b.x0), std::max(a.y0, b.y0), std::min(a.x1, b.x1),
-          std::min(a.y1, b.y1)};
-}
-
 }  // namespace
 
 RadixPlan plan_radix_rounds(int ranks, int k) {
@@ -96,21 +71,13 @@ CompositeResult radix_k(vmpi::Comm& comm,
     folded_counter.add(1);
     PieceStreamWriter writer(compress);
     for (const Piece& p : pieces) writer.add(p);
-    auto msg = writer.finish();
-    result.stats.messages += 1;
-    result.stats.bytes_sent += msg.size();
-    result.stats.pixels_sent += writer.pixels_added();
-    comm.send(me - plan.active, kTagFold, msg);
+    send_pieces(comm, me - plan.active, kTagFold, writer, result.stats);
     record_stats(result.stats);
     return result;  // folded ranks own no region and skip the rounds
   }
   if (me + plan.active < P) {
     trace::Span fold_span("compositing", "radixk_fold");
-    std::vector<std::uint8_t> msg;
-    comm.recv(me + plan.active, kTagFold, msg);
-    auto got = unpack_piece_stream(msg, width, height);
-    if (!got) throw std::runtime_error("radix_k: corrupt fold message");
-    for (auto& p : *got) pieces.push_back(std::move(p));
+    recv_pieces(comm, me + plan.active, kTagFold, width, height, pieces);
   }
 
   // k-way exchange rounds over the active ranks. Group members in round r
@@ -134,9 +101,8 @@ CompositeResult radix_k(vmpi::Comm& comm,
           region.y0 + int(std::int64_t(h) * (j + 1) / f)};
     }
 
-    std::vector<PieceStreamWriter> writers;
-    writers.reserve(std::size_t(f));
-    for (int j = 0; j < f; ++j) writers.emplace_back(compress);
+    std::vector<PieceStreamWriter> writers(static_cast<std::size_t>(f),
+                                           PieceStreamWriter(compress));
 
     std::vector<Piece> kept;
     for (const Piece& p : pieces) {
@@ -152,26 +118,16 @@ CompositeResult radix_k(vmpi::Comm& comm,
       }
     }
     std::uint64_t round_sent = 0;
-    for (int j = 0; j < f; ++j) {
-      if (j == pos) continue;
-      auto msg = writers[std::size_t(j)].finish();
-      result.stats.messages += 1;
-      result.stats.bytes_sent += msg.size();
-      result.stats.pixels_sent += writers[std::size_t(j)].pixels_added();
-      round_sent += msg.size();
-      comm.send(base + j * stride, tag, msg);
-    }
+    for (int j = 0; j < f; ++j)
+      if (j != pos)
+        round_sent += send_pieces(comm, base + j * stride, tag,
+                                  writers[std::size_t(j)], result.stats);
     round_bytes_hist.observe(double(round_sent));
 
     pieces = std::move(kept);
-    for (int j = 0; j < f; ++j) {
-      if (j == pos) continue;
-      std::vector<std::uint8_t> in;
-      comm.recv(base + j * stride, tag, in);
-      auto got = unpack_piece_stream(in, width, height);
-      if (!got) throw std::runtime_error("radix_k: corrupt round message");
-      for (auto& p : *got) pieces.push_back(std::move(p));
-    }
+    for (int j = 0; j < f; ++j)
+      if (j != pos)
+        recv_pieces(comm, base + j * stride, tag, width, height, pieces);
     region = bands[std::size_t(pos)];
     stride *= f;
   }
@@ -188,46 +144,13 @@ CompositeResult radix_k(vmpi::Comm& comm,
 
   // Gather the region tiles at the root.
   trace::Span gather_span("compositing", "radixk_gather");
-  if (me == root) {
-    result.image = img::Image(width, height);
-    auto paste = [&](const Piece& piece) {
-      for (int y = piece.rect.y0; y < piece.rect.y1; ++y) {
-        std::memcpy(&result.image.at(piece.rect.x0, y),
-                    piece.pixels.data() +
-                        std::size_t(y - piece.rect.y0) *
-                            std::size_t(piece.rect.width()),
-                    std::size_t(piece.rect.width()) * sizeof(img::Rgba));
-      }
-    };
-    if (!region.empty()) {
-      Piece mine;
-      mine.rect = region;
-      mine.pixels.assign(tile.pixels().begin(), tile.pixels().end());
-      paste(mine);
-    }
-    for (int r = 0; r < plan.active; ++r) {
-      if (r == root) continue;
-      std::vector<std::uint8_t> msg;
-      comm.recv(r, kTagGather, msg);
-      auto got = unpack_piece_stream(msg, width, height);
-      if (!got) throw std::runtime_error("radix_k: corrupt gather message");
-      for (const Piece& piece : *got) paste(piece);
-    }
-  } else {
-    PieceStreamWriter writer(compress);
-    if (!region.empty()) {
-      Piece tile_piece;
-      tile_piece.order = 0;
-      tile_piece.rect = region;
-      tile_piece.pixels.assign(tile.pixels().begin(), tile.pixels().end());
-      writer.add(tile_piece);
-    }
-    auto msg = writer.finish();
-    result.stats.messages += 1;
-    result.stats.bytes_sent += msg.size();
-    result.stats.pixels_sent += writer.pixels_added();
-    comm.send(root, kTagGather, msg);
-  }
+  std::vector<bool> active(std::size_t(P), false);
+  std::fill_n(active.begin(), plan.active, true);
+  const Piece mine{0, region,
+                   std::vector<img::Rgba>(tile.pixels().begin(),
+                                          tile.pixels().end())};
+  result.image = gather_tiles(comm, root, kTagGather, active, {&mine, 1},
+                              width, height, compress, result.stats);
   record_stats(result.stats);
   return result;
 }

@@ -9,7 +9,6 @@
 namespace qv::compositing {
 
 namespace {
-constexpr int kTagMeta = 930;
 constexpr int kTagSpanData = 931;
 constexpr int kTagFinal = 932;
 
@@ -97,7 +96,6 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   auto blobs = comm.allgather(
       {reinterpret_cast<const std::uint8_t*>(my_meta.data()),
        my_meta.size() * sizeof(WireFootprint)});
-  (void)kTagMeta;
 
   std::vector<FootprintInfo> footprints;
   for (int r = 0; r < P; ++r) {
@@ -119,118 +117,93 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   }
   result.stats.schedule_seconds = sched_timer.seconds();
 
-  // 3. Send my pixels of every span whose compositor is another rank;
-  //    aggregate per destination.
+  // 3. Exchange span pixels. The schedule names each span's contributors,
+  //    so every rank derives the same send and receive sets from it: I send
+  //    to compositor c exactly when I contribute to one of c's spans, and
+  //    receive from exactly the contributors my own spans name.
+  const auto covers = [](const PartialImage& p, ScreenRect span) {
+    return !p.rect.empty() && p.rect.y0 <= span.y0 && span.y0 < p.rect.y1 &&
+           p.rect.x0 <= span.x0 && span.x1 <= p.rect.x1;
+  };
   std::vector<Piece> incoming;
   std::vector<const SlicSpan*> my_spans;
+  std::vector<bool> composites(std::size_t(P), false);
   {
   trace::Span exchange_span("compositing", "slic_exchange");
-  std::vector<std::vector<std::uint8_t>> outbox(static_cast<std::size_t>(P));
+  std::vector<PieceStreamWriter> outbox(static_cast<std::size_t>(P),
+                                        PieceStreamWriter(compress));
+  std::vector<bool> send_to(std::size_t(P), false);
+  std::vector<bool> recv_from(std::size_t(P), false);
   for (const SlicSpan& span : sched.spans) {
-    if (span.compositor == me) my_spans.push_back(&span);
-    bool i_contribute =
-        std::find(span.contributors.begin(), span.contributors.end(), me) !=
-        span.contributors.end();
-    if (!i_contribute || span.compositor == me) continue;
-    // Extract my pixels covering this span from each of my overlapping
-    // partials (there may be several stacked blocks).
-    for (const auto& p : partials) {
-      if (p.rect.empty()) continue;
-      if (span.y < p.rect.y0 || span.y >= p.rect.y1) continue;
-      if (p.rect.x0 > span.x0 || p.rect.x1 < span.x1) continue;
-      Piece piece = extract_piece(p, {span.x0, span.y, span.x1, span.y + 1});
-      result.stats.pixels_sent += piece.pixels.size();
-      pack_piece(piece, compress, outbox[std::size_t(span.compositor)]);
+    const auto c = std::size_t(span.compositor);
+    composites[c] = true;
+    if (span.compositor == me) {
+      my_spans.push_back(&span);
+      for (int r : span.contributors) recv_from[std::size_t(r)] = true;
+      continue;
     }
+    if (!std::binary_search(span.contributors.begin(),
+                            span.contributors.end(), me))
+      continue;
+    send_to[c] = true;
+    // My pixels covering this span, from each of my overlapping partials
+    // (there may be several stacked blocks).
+    const ScreenRect rect{span.x0, span.y, span.x1, span.y + 1};
+    for (const auto& p : partials)
+      if (covers(p, rect)) outbox[c].add(extract_piece(p, rect));
   }
-  for (int r = 0; r < P; ++r) {
-    if (r == me) continue;
-    result.stats.messages += outbox[std::size_t(r)].empty() ? 0 : 1;
-    result.stats.bytes_sent += outbox[std::size_t(r)].size();
-    comm.send(r, kTagSpanData, outbox[std::size_t(r)]);
-  }
-
-  // 4. Receive contributions and composite my scheduled spans.
-  for (int r = 0; r < P; ++r) {
-    if (r == me) continue;
-    std::vector<std::uint8_t> msg;
-    comm.recv(r, kTagSpanData, msg);
-    auto got = unpack_pieces(msg, width, height);
-    for (auto& p : got) incoming.push_back(std::move(p));
-  }
+  for (int r = 0; r < P; ++r)
+    if (r != me && send_to[std::size_t(r)])
+      send_pieces(comm, r, kTagSpanData, outbox[std::size_t(r)], result.stats);
+  for (int r = 0; r < P; ++r)
+    if (r != me && recv_from[std::size_t(r)])
+      recv_pieces(comm, r, kTagSpanData, width, height, incoming);
   }  // slic_exchange
 
-  // Final pixels of my spans, to be shipped to the root.
-  std::vector<std::uint8_t> final_msg;
+  // 4. Composite my scheduled spans.
+  std::vector<Piece> done;
   {
   trace::Span composite_span("compositing", "slic_composite");
   WallTimer comp_timer;
-  // Group incoming pieces by (y, x0): they match spans exactly.
+  // Order incoming pieces by (y, x0). A compressed piece arrives shrunk to
+  // its active bbox, so it lies inside its span rather than matching it.
   std::sort(incoming.begin(), incoming.end(), [](const Piece& a, const Piece& b) {
     if (a.rect.y0 != b.rect.y0) return a.rect.y0 < b.rect.y0;
-    if (a.rect.x0 != b.rect.x0) return a.rect.x0 < b.rect.x0;
-    return a.order < b.order;
+    return a.rect.x0 < b.rect.x0;
   });
 
   for (const SlicSpan* span : my_spans) {
+    const ScreenRect rect{span->x0, span->y, span->x1, span->y + 1};
     std::vector<Piece> contributions;
-    // My own partials' pixels.
-    for (const auto& p : partials) {
-      if (p.rect.empty()) continue;
-      if (span->y < p.rect.y0 || span->y >= p.rect.y1) continue;
-      if (p.rect.x0 > span->x0 || p.rect.x1 < span->x1) continue;
-      contributions.push_back(
-          extract_piece(p, {span->x0, span->y, span->x1, span->y + 1}));
-    }
-    // Remote pieces matching this span (binary search window).
-    Piece key;
-    key.rect = {span->x0, span->y, span->x1, span->y + 1};
-    auto lo = std::lower_bound(
-        incoming.begin(), incoming.end(), key, [](const Piece& a, const Piece& b) {
-          if (a.rect.y0 != b.rect.y0) return a.rect.y0 < b.rect.y0;
-          return a.rect.x0 < b.rect.x0;
+    for (const auto& p : partials)
+      if (covers(p, rect)) contributions.push_back(extract_piece(p, rect));
+    // Remote pieces inside this span (binary search window). Each lies in
+    // exactly one span, so it is moved, not copied; the search reads only
+    // rects, which a move keeps.
+    auto it = std::lower_bound(
+        incoming.begin(), incoming.end(), rect, [](const Piece& a, ScreenRect r) {
+          if (a.rect.y0 != r.y0) return a.rect.y0 < r.y0;
+          return a.rect.x0 < r.x0;
         });
-    for (auto it = lo; it != incoming.end() && it->rect.y0 == span->y &&
-                       it->rect.x0 == span->x0;
+    for (; it != incoming.end() && it->rect.y0 == rect.y0 &&
+           it->rect.x0 < rect.x1;
          ++it) {
-      contributions.push_back(*it);
+      contributions.push_back(std::move(*it));
     }
-    img::Image span_img(span->x1 - span->x0, 1);
-    composite_pieces(contributions, span_img, span->x0, span->y);
-    Piece done;
-    done.order = 0;
-    done.rect = key.rect;
-    done.pixels.assign(span_img.pixels().begin(), span_img.pixels().end());
-    pack_piece(done, compress, final_msg);
+    img::Image span_img(rect.width(), 1);
+    composite_pieces(contributions, span_img, rect.x0, rect.y0);
+    done.push_back({0, rect,
+                    std::vector<img::Rgba>(span_img.pixels().begin(),
+                                           span_img.pixels().end())});
   }
   result.stats.composite_seconds = comp_timer.seconds();
   }  // slic_composite
 
-  // 5. Deliver composited spans to the root (the output processor's role).
+  // 5. Deliver composited spans to the root (the output processor's role):
+  //    every rank that composites a span sends them in one message.
   trace::Span deliver_span("compositing", "slic_deliver");
-  if (me != root) {
-    result.stats.messages += final_msg.empty() ? 0 : 1;
-    result.stats.bytes_sent += final_msg.size();
-    comm.send(root, kTagFinal, final_msg);
-    record_stats(result.stats);
-    return result;
-  }
-  result.image = img::Image(width, height);
-  auto paste = [&](std::span<const std::uint8_t> msg) {
-    auto pieces = unpack_pieces(msg, width, height);
-    for (const Piece& p : pieces) {
-      for (int x = p.rect.x0; x < p.rect.x1; ++x) {
-        result.image.at(x, p.rect.y0) = p.pixels[std::size_t(x - p.rect.x0)];
-      }
-    }
-  };
-  paste(final_msg);
-  for (int r = 0; r < P; ++r) {
-    if (r == root) continue;
-    std::vector<std::uint8_t> msg;
-    comm.recv(r, kTagFinal, msg);
-    paste(msg);
-  }
+  result.image = gather_tiles(comm, root, kTagFinal, composites, done, width,
+                              height, compress, result.stats);
   record_stats(result.stats);
   return result;
 }

@@ -24,12 +24,9 @@ enum class IoStrategy {
 enum class Compositor {
   kSlic,        // §4.4: scheduled linear image compositing
   kDirectSend,  // baseline
-  kBinarySwap,  // classic log-P swap; requires power-of-two render_procs
-                // (run_pipeline routes to radix-k with k=2 otherwise).
-                // Deferred-blend: output is bit-identical to direct-send.
   kRadixK,      // round-structured k-way exchange, any render_procs count
-                // (group size capped by composite_k); bit-identical to
-                // direct-send.
+                // (group size capped by composite_k; binary-swap is
+                // composite_k = 2); bit-identical to direct-send.
 };
 
 enum class Colormap {

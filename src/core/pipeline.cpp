@@ -742,18 +742,8 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
 
 }  // namespace
 
-PipelineReport run_pipeline(const PipelineConfig& config_in,
+PipelineReport run_pipeline(const PipelineConfig& config,
                             std::vector<img::Image>* frames_out) {
-  // Local copy: validation below may reroute the compositor choice.
-  PipelineConfig config = config_in;
-  if (config.compositor == Compositor::kBinarySwap &&
-      (config.render_procs & (config.render_procs - 1)) != 0) {
-    // Binary swap's pairing needs a power-of-two group; report what runs
-    // instead: radix-k with k=2, the same swap structure generalized to any
-    // count, bit-identical output.
-    config.compositor = Compositor::kRadixK;
-    config.composite_k = 2;
-  }
   if (config.compositor == Compositor::kRadixK && config.composite_k < 2)
     throw std::runtime_error("pipeline: composite_k must be >= 2");
   if (config.lic_overlay && config.strategy != IoStrategy::kOneDip)
@@ -789,8 +779,7 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
 
   Shared sh{config, frames_out};
 
-  // Surface the post-validation algorithm choice: tests and qv-run-report
-  // assert on what actually ran, not on what was requested.
+  // Surface the algorithm choice: tests and qv-run-report assert on it.
   switch (config.compositor) {
     case Compositor::kSlic:
       sh.report.compositor = "slic";
@@ -799,10 +788,6 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
     case Compositor::kDirectSend:
       sh.report.compositor = "direct-send";
       metrics::counter("compositing.algo.direct_send").add(1);
-      break;
-    case Compositor::kBinarySwap:
-      sh.report.compositor = "binary-swap";
-      metrics::counter("compositing.algo.binary_swap").add(1);
       break;
     case Compositor::kRadixK:
       sh.report.compositor =

@@ -35,10 +35,9 @@
 namespace qv::core {
 
 struct PipelineReport {
-  // The compositing algorithm that actually ran, after validation rerouting
-  // (e.g. "radix-k(k=2)" when binary-swap was requested with a
-  // non-power-of-two render_procs). Also counted in the metrics registry as
-  // compositing.algo.<slic|direct_send|binary_swap|radix_k>.
+  // The compositing algorithm that ran ("slic", "direct-send" or
+  // "radix-k(k=K)"). Also counted in the metrics registry as
+  // compositing.algo.<slic|direct_send|radix_k>.
   std::string compositor;
 
   // Completion time of each frame, seconds since the pipeline start barrier

@@ -166,10 +166,9 @@ RenderStage::Times RenderStage::run(int step, RenderAssignment& assign,
       comp = compositing::slic(render_comm_, partials, w, h, c, 0);
     } else if (composite_.algo == Compositor::kDirectSend) {
       comp = compositing::direct_send(render_comm_, partials, w, h, c, 0);
-    } else {  // binary-swap is radix-k's k = 2 case
-      const bool swap = composite_.algo == Compositor::kBinarySwap;
-      comp = compositing::radix_k(render_comm_, partials, w, h,
-                                  swap ? 2 : composite_.k, c, 0);
+    } else {
+      comp = compositing::radix_k(render_comm_, partials, w, h, composite_.k,
+                                  c, 0);
     }
   }
   times.composite_s = t.seconds();

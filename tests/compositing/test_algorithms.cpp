@@ -2,15 +2,21 @@
 // distribution of ordered partial images across ranks, SLIC, direct-send
 // (with and without compression), and binary-swap (the deferred-blend k=2
 // radix-k) must all reproduce the serial reference compositor within float
-// tolerance. The bit-exact radix-k vs direct-send wall lives in
-// test_radix_k.cpp.
+// tolerance. The bit-exact wall against direct-send lives in
+// test_radix_k.cpp. Alongside: the traffic-accounting check that every
+// algorithm's CompositeStats count exactly the sends vmpi sees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "compositing/direct_send.hpp"
 #include "compositing/radix_k.hpp"
 #include "compositing/slic.hpp"
+#include "metrics/metrics.hpp"
 #include "render/partial_image.hpp"
 #include "util/rng.hpp"
 
@@ -247,6 +253,121 @@ TEST(SlicVsDirectSend, SlicMovesFewerPixels) {
   });
   EXPECT_LT(slic_px, ds_px);
 }
+
+// --- traffic accounting -----------------------------------------------------
+//
+// CompositeStats must count exactly what leaves a rank: summed over ranks,
+// stats.messages and stats.bytes_sent equal the vmpi.send.calls and
+// vmpi.send.bytes deltas of the collective call. SLIC's footprint allgather
+// is runtime traffic, not a piece message; a bare allgather of the same
+// payloads measures it.
+
+using Dist = std::vector<std::vector<PartialImage>>;
+
+// bench_compositing's sort-last partials: each rank owns a full-height
+// screen slab plus w/16 of overlap, opaque only on a diagonal wavefront.
+Dist slab_partials(int ranks, int w, int h) {
+  Rng rng(2026);
+  Dist dist(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    PartialImage p;
+    const int x0 = std::max(0, w * r / ranks - w / 16);
+    const int x1 = std::min(w, w * (r + 1) / ranks + w / 16);
+    p.rect = {x0, 0, x1, h};
+    p.order = std::uint32_t(r);
+    p.pixels = img::Image(p.rect.width(), h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < p.rect.width(); ++x) {
+        if ((x0 + x + y) % (w / 2) >= w / 8) continue;
+        float a = 0.2f + 0.7f * rng.next_float();
+        p.pixels.at(x, y) = {a * rng.next_float(), a * rng.next_float(),
+                             a * rng.next_float(), a};
+      }
+    }
+    dist[std::size_t(r)].push_back(std::move(p));
+  }
+  return dist;
+}
+
+struct Sends {
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+};
+
+Sends vmpi_sends() {
+  return {metrics::counter("vmpi.send.calls").value(),
+          metrics::counter("vmpi.send.bytes").value()};
+}
+
+// Runs `fn` (returning the rank's CompositeStats) on every rank; returns the
+// stats summed over ranks and the vmpi send traffic of the run.
+template <typename Fn>
+std::pair<CompositeStats, Sends> measure(int ranks, const Dist& dist, Fn fn) {
+  const Sends before = vmpi_sends();
+  CompositeStats total;
+  std::mutex mu;
+  vmpi::Runtime::run(ranks, [&](vmpi::Comm& comm) {
+    const CompositeStats s = fn(comm, dist[std::size_t(comm.rank())]);
+    std::lock_guard lk(mu);
+    total.merge(s);
+  });
+  const Sends after = vmpi_sends();
+  return {total, {after.calls - before.calls, after.bytes - before.bytes}};
+}
+
+// QV_FUZZ_SEED (default 1) picks the random partials.
+std::uint64_t fuzz_seed() {
+  const char* s = std::getenv("QV_FUZZ_SEED");
+  return s ? std::strtoull(s, nullptr, 10) : 1;
+}
+
+class TrafficAccounting : public ::testing::TestWithParam<int> {};
+
+TEST_P(TrafficAccounting, StatsCountEverySend) {
+  const int ranks = GetParam();
+  struct Case {
+    const char* name;
+    Dist dist;
+    int w, h;
+  };
+  const Case cases[] = {
+      {"random", make_distribution(ranks, 3, fuzz_seed() * 31 + 7), kW, kH},
+      {"slabs", slab_partials(ranks, 512, 512), 512, 512},
+  };
+  for (const Case& c : cases) {
+    // SLIC's footprint allgather: x0 y0 x1 y1 order (20 B) per non-empty
+    // partial.
+    const Sends footprints =
+        measure(ranks, c.dist, [](vmpi::Comm& comm, const auto& partials) {
+          auto n = std::count_if(partials.begin(), partials.end(),
+                                 [](const auto& p) { return !p.rect.empty(); });
+          comm.allgather(std::vector<std::uint8_t>(20 * std::size_t(n)));
+          return CompositeStats{};
+        }).second;
+    for (bool compress : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (compress ? " compressed" : " raw"));
+      auto expect_counted = [&](const char* algo, Sends runtime, auto fn) {
+        auto [stats, sent] = measure(ranks, c.dist, fn);
+        EXPECT_EQ(stats.messages, sent.calls - runtime.calls) << algo;
+        EXPECT_EQ(stats.bytes_sent, sent.bytes - runtime.bytes) << algo;
+      };
+      expect_counted("slic", footprints, [&](vmpi::Comm& comm, const auto& p) {
+        return slic(comm, p, c.w, c.h, compress, 0).stats;
+      });
+      expect_counted("direct-send", {}, [&](vmpi::Comm& comm, const auto& p) {
+        return direct_send(comm, p, c.w, c.h, compress, 0).stats;
+      });
+      for (int k : {2, 4}) {
+        expect_counted("radix-k", {}, [&](vmpi::Comm& comm, const auto& p) {
+          return radix_k(comm, p, c.w, c.h, k, compress, 0).stats;
+        });
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, TrafficAccounting,
+                         ::testing::Values(1, 2, 3, 5, 8));
 
 }  // namespace
 }  // namespace qv::compositing

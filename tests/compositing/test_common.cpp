@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "util/rng.hpp"
 
 namespace qv::compositing {
@@ -33,38 +31,13 @@ TEST(Piece, ExtractReadsScreenCoordinates) {
   EXPECT_FLOAT_EQ(piece.pixels[24].a, p.at_screen(19, 29).a);
 }
 
-class PackRoundTrip : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PackRoundTrip, PackUnpackPreservesPieces) {
-  const bool compress = GetParam();
-  PartialImage p1 = make_partial({0, 0, 16, 8}, 7, 2, 0.6);
-  PartialImage p2 = make_partial({5, 3, 9, 12}, 1, 3, 0.0);
-  std::vector<std::uint8_t> buf;
-  Piece a = extract_piece(p1, {2, 1, 14, 7});
-  Piece b = extract_piece(p2, {5, 3, 9, 12});
-  pack_piece(a, compress, buf);
-  pack_piece(b, compress, buf);
-
-  auto pieces = unpack_pieces(buf, 16, 16);
-  ASSERT_EQ(pieces.size(), 2u);
-  EXPECT_EQ(pieces[0].order, 7u);
-  EXPECT_EQ(pieces[1].order, 1u);
-  ASSERT_EQ(pieces[0].pixels.size(), a.pixels.size());
-  EXPECT_EQ(0, std::memcmp(pieces[0].pixels.data(), a.pixels.data(),
-                           a.pixels.size() * sizeof(img::Rgba)));
-  EXPECT_EQ(0, std::memcmp(pieces[1].pixels.data(), b.pixels.data(),
-                           b.pixels.size() * sizeof(img::Rgba)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Compression, PackRoundTrip, ::testing::Bool());
-
 TEST(Piece, CompressionShrinksSparsePieces) {
   PartialImage p = make_partial({0, 0, 64, 64}, 0, 5, 0.95);
   Piece piece = extract_piece(p, {0, 0, 64, 64});
-  std::vector<std::uint8_t> raw, packed;
-  pack_piece(piece, false, raw);
-  pack_piece(piece, true, packed);
-  EXPECT_LT(packed.size() * 3, raw.size());
+  PieceStreamWriter raw(/*compress=*/false), packed(/*compress=*/true);
+  raw.add(piece);
+  packed.add(piece);
+  EXPECT_LT(packed.finish().size() * 3, raw.finish().size());
 }
 
 TEST(CompositePieces, OrderDeterminesResult) {
@@ -98,10 +71,6 @@ TEST(CompositePieces, RespectsOffsets) {
   img::Image out(4, 4);
   composite_pieces(pieces, out, 8, 8);  // region origin at (8, 8)
   EXPECT_FLOAT_EQ(out.at(2, 2).r, 0.5f);
-}
-
-TEST(UnpackPieces, EmptyBufferYieldsNothing) {
-  EXPECT_TRUE(unpack_pieces({}, 16, 16).empty());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The radix-k equivalence wall (ROADMAP item 5): radix-k must be
-// bit-identical to direct-send — not "close", identical — for every rank
+// The bit-exact compositing wall (ROADMAP item 5): radix-k and SLIC must
+// be bit-identical to direct-send — not "close", identical — for every rank
 // count (primes, 1, awkward composites), every k in {2,3,4,8}, with and
 // without active-pixel compression, on seeded random partial distributions
 // including all-empty and single-active-pixel edge partials. Binary-swap
@@ -23,6 +23,7 @@
 #include <string>
 
 #include "compositing/direct_send.hpp"
+#include "compositing/slic.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 
@@ -121,6 +122,13 @@ img::Image run_direct_send(
   });
 }
 
+img::Image run_slic(const std::vector<std::vector<PartialImage>>& dist,
+                    int ranks, bool compress) {
+  return run_collective(ranks, [&](vmpi::Comm& comm) {
+    return slic(comm, dist[std::size_t(comm.rank())], kW, kH, compress, 0);
+  });
+}
+
 img::Image run_radix(const std::vector<std::vector<PartialImage>>& dist,
                      int ranks, int k, bool compress) {
   return run_collective(ranks, [&](vmpi::Comm& comm) {
@@ -204,6 +212,11 @@ void run_wall(int ranks) {
 
     // Compression must not change direct-send output either.
     EXPECT_TRUE(bit_equal(expect, run_direct_send(dist, ranks, true)));
+
+    for (bool compress : {false, true}) {
+      SCOPED_TRACE(compress ? "slic compressed" : "slic raw");
+      EXPECT_TRUE(bit_equal(expect, run_slic(dist, ranks, compress)));
+    }
 
     for (int k : {2, 3, 4, 8}) {
       for (bool compress : {false, true}) {
@@ -297,7 +310,7 @@ TEST(ActivePixelWire, RawRoundtripIsExact) {
                                random_piece(rng, 3, 0.0),
                                random_piece(rng, 7, 1.0)};
   auto msg = pack_stream(pieces, /*compress=*/false);
-  auto got = unpack_piece_stream(msg, kW, kH);
+  auto got = decode_piece_stream(msg, kW, kH);
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->size(), pieces.size());
   for (std::size_t i = 0; i < pieces.size(); ++i) {
@@ -316,7 +329,7 @@ TEST(ActivePixelWire, CompressedRoundtripPreservesActivePixels) {
   for (int t = 0; t < 20; ++t) {
     Piece p = random_piece(rng, std::uint32_t(t), 0.3);
     auto msg = pack_stream({p}, /*compress=*/true);
-    auto got = unpack_piece_stream(msg, kW, kH);
+    auto got = decode_piece_stream(msg, kW, kH);
     ASSERT_TRUE(got.has_value());
     ASSERT_EQ(got->size(), 1u);
     const Piece& q = (*got)[0];
@@ -356,7 +369,7 @@ TEST(ActivePixelWire, FullyTransparentPieceShipsHeadersOnly) {
   p.pixels.resize(20 * 15);  // value-initialized transparent
   auto msg = pack_stream({p}, /*compress=*/true);
   EXPECT_EQ(msg.size(), 16u + 36u);  // stream header + piece header, no payload
-  auto got = unpack_piece_stream(msg, kW, kH);
+  auto got = decode_piece_stream(msg, kW, kH);
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->size(), 1u);
   EXPECT_TRUE((*got)[0].rect.empty());
@@ -379,10 +392,10 @@ TEST(ActivePixelWire, RectBeyondScreenBoundsRejected) {
   Rng rng(3);
   Piece p = random_piece(rng, 1, 0.5);
   auto msg = pack_stream({p}, false);
-  EXPECT_TRUE(unpack_piece_stream(msg, kW, kH).has_value());
+  EXPECT_TRUE(decode_piece_stream(msg, kW, kH).has_value());
   // Same valid bytes, smaller advertised screen: must reject, not clip.
-  EXPECT_FALSE(unpack_piece_stream(msg, p.rect.x1 - 1, kH).has_value());
-  EXPECT_FALSE(unpack_piece_stream(msg, kW, p.rect.y1 - 1).has_value());
+  EXPECT_FALSE(decode_piece_stream(msg, p.rect.x1 - 1, kH).has_value());
+  EXPECT_FALSE(decode_piece_stream(msg, kW, p.rect.y1 - 1).has_value());
 }
 
 // --- active-pixel wire format: corrupt-input fuzz ---------------------------
@@ -400,9 +413,9 @@ TEST(ActivePixelFuzz, EveryTruncationRejected) {
     SCOPED_TRACE("(QV_FUZZ_SEED=" + std::to_string(base) + ") trial " +
                  std::to_string(trial));
     auto msg = fuzz_message(base + std::uint64_t(trial) * 7919);
-    ASSERT_TRUE(unpack_piece_stream(msg, kW, kH).has_value());
+    ASSERT_TRUE(decode_piece_stream(msg, kW, kH).has_value());
     for (std::size_t cut = 0; cut < msg.size(); ++cut) {
-      auto got = unpack_piece_stream(
+      auto got = decode_piece_stream(
           std::span<const std::uint8_t>(msg.data(), cut), kW, kH);
       EXPECT_FALSE(got.has_value()) << "cut " << cut << "/" << msg.size();
     }
@@ -412,7 +425,7 @@ TEST(ActivePixelFuzz, EveryTruncationRejected) {
 TEST(ActivePixelFuzz, EveryHeaderBitFlipRejected) {
   const std::uint64_t base = fuzz_seed();
   auto msg = fuzz_message(base);
-  ASSERT_TRUE(unpack_piece_stream(msg, kW, kH).has_value());
+  ASSERT_TRUE(decode_piece_stream(msg, kW, kH).has_value());
   // Header byte ranges: the stream header, then each piece header (walk the
   // frames via the payload_bytes field at offset 24 of each piece header).
   std::vector<std::pair<std::size_t, std::size_t>> headers = {{0, 16}};
@@ -429,7 +442,7 @@ TEST(ActivePixelFuzz, EveryHeaderBitFlipRejected) {
       for (int bit = 0; bit < 8; ++bit) {
         auto bad = msg;
         bad[byte] ^= std::uint8_t(1u << bit);
-        EXPECT_FALSE(unpack_piece_stream(bad, kW, kH).has_value())
+        EXPECT_FALSE(decode_piece_stream(bad, kW, kH).has_value())
             << "byte " << byte << " bit " << bit;
       }
     }
@@ -452,7 +465,7 @@ TEST(ActivePixelFuzz, TamperedHeaderWithFixedCrcRejected) {
     count = std::uint32_t(std::int64_t(count) + delta);
     std::memcpy(bad.data() + 4, &count, sizeof(count));
     fix_stream_crc(bad);
-    EXPECT_FALSE(unpack_piece_stream(bad, kW, kH).has_value())
+    EXPECT_FALSE(decode_piece_stream(bad, kW, kH).has_value())
         << "count delta " << delta;
   }
   // Lying total_bytes, valid CRC.
@@ -463,7 +476,7 @@ TEST(ActivePixelFuzz, TamperedHeaderWithFixedCrcRejected) {
     total = std::uint32_t(std::int64_t(total) + delta);
     std::memcpy(bad.data() + 8, &total, sizeof(total));
     fix_stream_crc(bad);
-    EXPECT_FALSE(unpack_piece_stream(bad, kW, kH).has_value())
+    EXPECT_FALSE(decode_piece_stream(bad, kW, kH).has_value())
         << "total delta " << delta;
   }
 }
@@ -476,7 +489,7 @@ TEST(ActivePixelFuzz, RandomGarbageRejected) {
                  std::to_string(trial));
     std::vector<std::uint8_t> junk(rng.next_below(300));
     for (auto& b : junk) b = std::uint8_t(rng.next_u64());
-    EXPECT_FALSE(unpack_piece_stream(junk, kW, kH).has_value());
+    EXPECT_FALSE(decode_piece_stream(junk, kW, kH).has_value());
   }
 }
 
@@ -493,96 +506,9 @@ TEST(ActivePixelFuzz, RandomBitFlipsNeverCrashDecoderStaysUsable) {
     }
     // Payload-byte flips may legally decode (raw pixel data carries no
     // checksum); the contract here is no crash and no state corruption.
-    (void)unpack_piece_stream(bad, kW, kH);
+    (void)decode_piece_stream(bad, kW, kH);
   }
-  EXPECT_TRUE(unpack_piece_stream(msg, kW, kH).has_value());
-}
-
-// --- SLIC / direct-send piece messages: corrupt-input fuzz ------------------
-//
-// pack_piece messages carry no CRC, and only the first piece header lies in
-// the transport's trusted 32-byte prefix. unpack_pieces must either parse a
-// damaged message or throw a "compositing:" std::runtime_error: never size
-// an allocation from a lying header (bad_alloc, length_error), never read
-// past the buffer (the ASan stage runs this wall).
-
-// Three small pieces packed back to back; `ends` receives the message size
-// after each piece.
-std::vector<std::uint8_t> packed_pieces(std::uint64_t seed, bool compress,
-                                        std::vector<std::size_t>& ends) {
-  Rng rng(seed);
-  std::vector<std::uint8_t> buf;
-  for (std::uint32_t order : {4u, 1u, 9u}) {
-    Piece p;
-    const int w = 2 + int(rng.next_below(5));
-    const int h = 1 + int(rng.next_below(4));
-    const int x0 = int(rng.next_below(std::uint64_t(kW - w)));
-    const int y0 = int(rng.next_below(std::uint64_t(kH - h)));
-    p.rect = {x0, y0, x0 + w, y0 + h};
-    p.order = order;
-    p.pixels.resize(std::size_t(w) * std::size_t(h));
-    for (auto& px : p.pixels) {
-      if (rng.next_double() < 0.5) continue;  // transparent runs for RLE
-      float a = 0.1f + 0.8f * rng.next_float();
-      px = {rng.next_float() * a, rng.next_float() * a, rng.next_float() * a,
-            a};
-    }
-    pack_piece(p, compress, buf);
-    ends.push_back(buf.size());
-  }
-  return buf;
-}
-
-// How many pieces `msg` parses to, or -1 when it is rejected. Any exception
-// other than a "compositing:" std::runtime_error escapes and fails the test.
-int parse_or_reject(std::span<const std::uint8_t> msg) {
-  try {
-    return int(unpack_pieces(msg, kW, kH).size());
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()).rfind("compositing:", 0), 0u) << e.what();
-    return -1;
-  }
-}
-
-TEST(PieceFuzz, EveryTruncationParsesWholePiecesOrThrows) {
-  const std::uint64_t base = fuzz_seed();
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE("(QV_FUZZ_SEED=" + std::to_string(base) + ") " +
-                 (compress ? "rle" : "raw"));
-    std::vector<std::size_t> ends;
-    auto msg = packed_pieces(base, compress, ends);
-    ASSERT_EQ(parse_or_reject(msg), 3);
-    for (std::size_t cut = 0; cut < msg.size(); ++cut) {
-      // A cut on a piece boundary is a shorter valid message.
-      const int whole = int(std::find(ends.begin(), ends.end(), cut) -
-                            ends.begin()) + 1;
-      const int want = cut == 0 ? 0 : (whole <= 3 ? whole : -1);
-      int got = 0;
-      EXPECT_NO_THROW(got = parse_or_reject({msg.data(), cut}))
-          << "cut " << cut << "/" << msg.size();
-      EXPECT_EQ(got, want) << "cut " << cut << "/" << msg.size();
-    }
-  }
-}
-
-TEST(PieceFuzz, EveryByteFlipParsesOrThrows) {
-  const std::uint64_t base = fuzz_seed();
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE("(QV_FUZZ_SEED=" + std::to_string(base) + ") " +
-                 (compress ? "rle" : "raw"));
-    std::vector<std::size_t> ends;
-    const auto msg = packed_pieces(base ^ 0x9E1, compress, ends);
-    for (std::size_t byte = 0; byte < msg.size(); ++byte) {
-      // Every single-bit flip of the byte, and the whole byte inverted.
-      for (unsigned mask : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u, 255u}) {
-        auto bad = msg;
-        bad[byte] ^= std::uint8_t(mask);
-        EXPECT_NO_THROW((void)parse_or_reject(bad))
-            << "byte " << byte << " mask " << mask;
-      }
-    }
-    EXPECT_EQ(parse_or_reject(msg), 3);
-  }
+  EXPECT_TRUE(decode_piece_stream(msg, kW, kH).has_value());
 }
 
 }  // namespace

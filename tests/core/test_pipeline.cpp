@@ -200,19 +200,20 @@ TEST_F(PipelineTest, DirectSendCompositorAgreesWithSlic) {
 }
 
 TEST_F(PipelineTest, BinarySwapCompositorMatchesDirectSendExactly) {
-  // Binary swap is now the deferred-blend k=2 radix-k: identical per-pixel
+  // Binary swap is the deferred-blend k=2 radix-k: identical per-pixel
   // float sequence as direct-send, so the frames must be bit-equal at
-  // pipeline granularity too (the old eager swap was only approximate on
-  // the pipeline's depth-interleaved morton assignment).
+  // pipeline granularity too (an eager swap is only approximate on the
+  // pipeline's depth-interleaved morton assignment).
   std::vector<img::Image> ds_frames, bs_frames;
   auto cfg = base_config();
-  cfg.render_procs = 4;  // power of two, as binary swap requires
+  cfg.render_procs = 4;  // power of two: the classic swap pairing
   cfg.compositor = Compositor::kDirectSend;
   run_pipeline(cfg, &ds_frames);
-  cfg.compositor = Compositor::kBinarySwap;
+  cfg.compositor = Compositor::kRadixK;
+  cfg.composite_k = 2;
   auto rep = run_pipeline(cfg, &bs_frames);
   EXPECT_EQ(rep.steps, kSteps);
-  EXPECT_EQ(rep.compositor, "binary-swap");
+  EXPECT_EQ(rep.compositor, "radix-k(k=2)");
   ASSERT_EQ(ds_frames.size(), bs_frames.size());
   for (std::size_t s = 0; s < ds_frames.size(); ++s) {
     EXPECT_EQ(img::rmse(ds_frames[s], bs_frames[s]), 0.0) << "frame " << s;
@@ -236,12 +237,13 @@ TEST_F(PipelineTest, RadixKCompositorMatchesDirectSendExactly) {
 }
 
 TEST_F(PipelineTest, BinarySwapRoutesToRadixKOnNonPowerOfTwoRenderers) {
-  // render_procs = 3 cannot run binary swap; the pipeline must reroute to
-  // radix-k with k=2 (not degrade to direct-send) and say so in the report.
+  // render_procs = 3 has no classic swap pairing; radix-k with k=2 folds
+  // the remainder rank and still matches direct-send bit for bit.
   std::vector<img::Image> bs_frames, ds_frames;
   auto cfg = base_config();
   ASSERT_EQ(cfg.render_procs, 3);
-  cfg.compositor = Compositor::kBinarySwap;
+  cfg.compositor = Compositor::kRadixK;
+  cfg.composite_k = 2;
   auto rep = run_pipeline(cfg, &bs_frames);
   EXPECT_EQ(rep.steps, kSteps);
   EXPECT_EQ(rep.compositor, "radix-k(k=2)");
@@ -259,7 +261,8 @@ TEST_F(PipelineTest, SelectedCompositorLandsInMetricsRegistry) {
   // compositing.algo.* counters in the metrics snapshot.
   metrics::enable();
   auto cfg = base_config();
-  cfg.compositor = Compositor::kBinarySwap;  // 3 renderers -> radix-k(k=2)
+  cfg.compositor = Compositor::kRadixK;  // binary-swap: k = 2
+  cfg.composite_k = 2;
   run_pipeline(cfg);
   auto snap = metrics::collect();
   metrics::disable();

@@ -250,10 +250,12 @@ tsan() {
   # The lineage flight recorder, hammered from every rank thread at once
   # and dumped from a fault observer while peers still record.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_lineage
-  # The radix-k exchange (threads-as-ranks) with the race detector watching
-  # every round's send/recv handoff; small rank counts keep TSan tractable.
+  # The compositing exchange (threads-as-ranks) with the race detector
+  # watching every send/recv handoff: radix-k's rounds, and SLIC and
+  # direct-send, which share its send and receive code. Small rank counts
+  # keep TSan tractable.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_compositing \
-      --gtest_filter='Small/RadixKEquivalence.*:RadixKEdge.*:ActivePixel*'
+      --gtest_filter='Small/RadixKEquivalence.*:RadixKEdge.*:ActivePixel*:RankCounts/ScatterComposite.*'
   # The steering inbox (posted from a monitor thread while the render loop
   # drains) and the cancellation stress: cancels fired mid-render into the
   # worker pool at thread counts {1,2,4,7}.
@@ -313,10 +315,10 @@ fuzz_walls() {
     # The QVCT steering codec wall + the stale/fresh property wall.
     QV_FUZZ_SEED=$seed "$dir"/tests/test_control --gtest_filter='SteerCodecFuzz.*'
     QV_FUZZ_SEED=$seed "$dir"/tests/test_steer --gtest_filter='SteerPropertyWall.*'
-    # The radix-k equivalence wall, the active-pixel corrupt-input fuzzers
-    # and the SLIC/direct-send piece-message wall.
+    # The bit-exact compositing wall, the QVPS corrupt-input fuzzers and
+    # the traffic-accounting check.
     QV_FUZZ_SEED=$seed "$dir"/tests/test_compositing \
-        --gtest_filter='*RadixK*:RadixPlan*:ActivePixel*:PieceFuzz*'
+        --gtest_filter='*RadixK*:RadixPlan*:ActivePixel*:*TrafficAccounting*'
   done
 }
 

@@ -693,9 +693,7 @@ int cmd_pipeline(const Args& args) {
   std::string compositor = args.str("compositor", "slic");
   if (compositor == "direct") {
     cfg.compositor = core::Compositor::kDirectSend;
-  } else if (compositor == "swap") {
-    cfg.compositor = core::Compositor::kBinarySwap;
-  } else if (compositor == "radix") {
+  } else if (compositor == "swap" || compositor == "radix") {
     cfg.compositor = core::Compositor::kRadixK;
   } else if (compositor != "slic") {
     std::fprintf(stderr, "unknown compositor: %s\n", compositor.c_str());
@@ -707,6 +705,7 @@ int cmd_pipeline(const Args& args) {
                  cfg.composite_k);
     return 2;
   }
+  if (compositor == "swap") cfg.composite_k = 2;  // binary-swap: k = 2
 
   parse_serve_flags(args, cfg.serve);
   parse_steer_flags(args, cfg.steer);
