@@ -22,9 +22,9 @@
 namespace qv::core {
 
 // Per-step message tags: step * 8 + kind keeps the spaces disjoint. Kinds
-// 0 (blocks) and 1 (frames) serve the pipeline and in situ alike; the
-// pipeline adds kinds 2 and 3 and the constant control tags 4 and 5, which
-// no per-step tag (always ≡ 0..3 mod 8) can collide with.
+// 0 (blocks) and 1 (frames) are shared with the render stage; the pipeline
+// adds kinds 2 and 3 and the constant control tags 4 and 5, which no
+// per-step tag (always ≡ 0..3 mod 8) can collide with.
 inline int tag_block(int step) { return step * 8 + 0; }
 inline int tag_frame(int step) { return step * 8 + 1; }
 

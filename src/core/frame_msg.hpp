@@ -1,12 +1,7 @@
-// The render-root -> output-processor frame hop, shared by the steady-state
-// pipeline and the in-situ variant.
-//
-// Historically each caller hand-rolled its own header (or sent raw pixels
-// with no header at all), so a version or size mismatch showed up as
-// garbage pixels downstream. The helper gives the hop the same
-// magic/version discipline as the data-distribution messages: parse
-// failures are explicit, and the 16-byte header stays inside the fault
-// layer's 32-byte trusted prefix.
+// The render-root -> output-processor frame hop, with the same
+// magic/version discipline as the data-distribution messages: a version or
+// size mismatch is an explicit parse failure, never garbage pixels, and the
+// 16-byte header stays inside the fault layer's 32-byte trusted prefix.
 #pragma once
 
 #include <cstdint>

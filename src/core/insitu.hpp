@@ -5,12 +5,15 @@
 // processor group whose root streams velocity snapshots directly to the
 // rendering processors over the message-passing runtime — no disk in the
 // loop — as the pipeline's CRC-framed block messages (core/block_msg.hpp).
-// The renderers and the output processor are the batch pipeline's: each
-// snapshot goes through the shared render stage (core/render_stage.hpp,
-// SLIC compositing without compression) and the shared output stage
-// (core/output_stage.hpp), so frames appear as the earthquake unfolds.
+// In situ is the pipeline (core/pipeline.hpp) with the solver group as its
+// data source in the input ranks' place: the same rank body, render role
+// (receive loop with NACK and degrade, SLIC compositing without
+// compression), output role and report, so frames appear as the earthquake
+// unfolds. Only the solver role is its own.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,11 +46,7 @@ struct InsituConfig {
   int render_threads = 1;
   int width = 256;
   int height = 192;
-  int block_level = 2;
-  octree::AssignStrategy assign = octree::AssignStrategy::kMortonContiguous;
   render::RenderOptions render;
-  Colormap colormap = Colormap::kSeismic;
-  io::Variable variable = io::Variable::kMagnitude;
   float orbit_deg_per_step = 0.0f;
   std::string output_dir;  // when set, frames are written as PPM
 
@@ -59,21 +58,36 @@ struct InsituConfig {
   // PipelineConfig::steer; snapshots take the role of steps).
   SteeringConfig steer;
 
-  int world_size() const { return sim_procs + render_procs + 1; }
+  // Deterministic fault injection (tests only; see
+  // PipelineConfig::fault_plan). A NACKed snapshot is not resent but
+  // degraded; a kill fault is rejected, since the sim group's force
+  // reduction cannot survive a death.
+  std::shared_ptr<const vmpi::FaultPlan> fault_plan;
 };
 
 struct InsituReport {
-  std::vector<double> frame_seconds;  // wall-clock completion per snapshot
+  // Completion time of each frame, seconds since the start barrier.
+  std::vector<double> frame_seconds;
+  double avg_interframe = 0.0;        // steady-state (second half) mean
   double sim_seconds = 0.0;           // time the solver spent stepping
   double sim_time_reached = 0.0;      // simulated seconds at the last frame
   int snapshots = 0;
+
+  // Fault handling, as in PipelineReport: CRC mismatches seen by the
+  // renderers, NACKs the sim root answered (each with a skip marker), and
+  // the frames that showed stale data.
+  std::uint64_t corrupt_blocks_detected = 0;
+  std::uint64_t resend_requests = 0;
+  int degraded_frames = 0;
+  std::vector<int> degraded_steps;  // ascending
 
   // Remote frame delivery (empty unless config.serve.enabled).
   stream::ServerReport server;
 };
 
-// Runs solver + renderers + output concurrently in-process. When
-// `frames_out` is non-null the output processor stores every frame there.
+// Runs solver + renderers + output concurrently in-process, through the
+// pipeline's rank body. When `frames_out` is non-null the output processor
+// stores every frame there.
 InsituReport run_insitu(const InsituConfig& config,
                         std::vector<img::Image>* frames_out = nullptr);
 

@@ -1,12 +1,12 @@
-// The output processor's per-frame stage (§4, Figure 2), shared by the batch
-// pipeline and the in-situ driver: each composited frame is time-stamped,
-// tone-mapped once, and handed to every sink — the PPM writer and the
-// delivery server — so a delivered frame is bit-identical to the file the
-// output processor wrote (the delivery tests pin this with SHA-256).
+// The output processor's per-frame stage (§4, Figure 2), run by the output
+// role of the batch pipeline and in situ: each composited frame is
+// time-stamped, tone-mapped once, and handed to every sink — the PPM writer
+// and the delivery server — so a delivered frame is bit-identical to the
+// file the output processor wrote (the delivery tests pin this with SHA-256).
 //
-// A driver's output rank receives and parses the frame message (and, in the
-// pipeline, lays the LIC ground overlay under it), then calls emit(). The
-// stage owns the rest:
+// The output role receives and parses the frame message (and lays the
+// optional LIC ground overlay under it), then calls emit(). The stage owns
+// the rest:
 //   * the epoch rule: a steering epoch is a view change (every delta chain
 //     re-anchors on a keyframe; recorded as a kSteerApply lineage event), a
 //     rebalance epoch only relabels the frame id stamped into wire headers;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -13,6 +14,7 @@
 #include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
+#include "core/insitu.hpp"
 #include "core/output_stage.hpp"
 #include "core/render_stage.hpp"
 #include "img/image.hpp"
@@ -21,6 +23,7 @@
 #include "io/preprocess.hpp"
 #include "lic/lic.hpp"
 #include "metrics/metrics.hpp"
+#include "quake/parallel_solver.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
 #include "vmpi/comm.hpp"
@@ -41,19 +44,15 @@ constexpr int kTagDone = 5;  // renderer -> input: no more NACKs will come
 // the worst case (every resend corrupted again) instead of looping forever.
 constexpr int kMaxNacksPerStep = 4;
 
-// (The render root -> output processor frame hop uses the shared
-// make_frame_msg/parse_frame_msg helper from core/frame_msg.hpp.)
-
 // Renderer -> input (kTagNack): please resend.
 struct NackMsg {
   std::int32_t step;
   std::int32_t id;  // the NACKed message's header id
 };
 
-// Stats shared across the rank threads (joined before run_pipeline returns).
-// Only the wall-time accumulators live here now; every event COUNT moved to
-// the metrics registry (see PipeCounters below) — they used to be plain ints
-// mutated from multiple rank threads and are atomic counters today.
+// Stats shared across the rank threads (joined before run_ranks returns):
+// the wall-time accumulators. Every event count is a metrics registry
+// counter (see PipeCounters below).
 struct Shared {
   const PipelineConfig& config;
   std::vector<img::Image>* frames_out = nullptr;
@@ -64,7 +63,7 @@ struct Shared {
 };
 
 // Registry counters backing PipelineReport. The handles are process-global
-// and monotone; run_pipeline snapshots their values before spawning ranks
+// and monotone; run_ranks snapshots their values before spawning ranks
 // and fills the report from the after-minus-before deltas, so several
 // pipeline runs in one process (benches, tests) never cross-contaminate.
 // io.retries and compositing.bytes_sent are owned by vmpi::File and the
@@ -90,14 +89,12 @@ PipeCounters& pipe_counters() {
   return pc;
 }
 
-// Deterministic per-rank setup computed from the dataset alone — the
-// "one-time preprocessing" every processor can reproduce because the mesh
-// is static.
-struct Setup {
-  const PipelineConfig& cfg;
-  io::DatasetReader reader;
-  int level;
-  const mesh::HexMesh* mesh;
+// What the render and output roles read, built identically on every rank
+// from a mesh that never changes: the "one-time preprocessing" of §4
+// (decomposition, workload estimate, block -> renderer assignment, block
+// node lists), the transfer function and the view at every step.
+struct Scene {
+  const mesh::HexMesh& mesh;
   std::vector<octree::Block> blocks;
   std::vector<int> owners;  // initial block -> render proc assignment
   io::BlockNodeIndex index;
@@ -105,34 +102,43 @@ struct Setup {
   int num_steps;
   ViewSchedule view;
 
-  explicit Setup(const PipelineConfig& config)
+  Scene(const PipelineConfig& cfg, const mesh::HexMesh& m, const Box3& domain,
+        int steps)
+      : mesh(m),
+        tf(!cfg.tf_file.empty()
+               ? render::TransferFunction::from_file(cfg.tf_file)
+               : (cfg.colormap == Colormap::kSeismic
+                      ? render::TransferFunction::seismic()
+                      : render::TransferFunction::grayscale())),
+        num_steps(steps),
+        view(domain, cfg.width, cfg.height, cfg.orbit_deg_per_step, cfg.render,
+             cfg.steer, steps, cfg.rebalance_every) {
+    blocks = octree::decompose(mesh.octree(), cfg.block_level);
+    octree::estimate_workloads(mesh.octree(), blocks,
+                               octree::WorkloadModel::kCellCount);
+    owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
+    index = io::BlockNodeIndex(mesh, blocks);
+  }
+};
+
+// The batch pipeline's data source: the dataset and the level read from it.
+// Only the input role reads it.
+struct DatasetSource {
+  const PipelineConfig& cfg;
+  io::DatasetReader reader;
+  int level;
+
+  explicit DatasetSource(const PipelineConfig& config)
       : cfg(config),
         reader(config.dataset_dir),
         level(config.adaptive_level < 0 ? reader.meta().finest_level
-                                        : config.adaptive_level),
-        mesh(&reader.level_mesh(level)),
-        tf(!config.tf_file.empty()
-               ? render::TransferFunction::from_file(config.tf_file)
-               : (config.colormap == Colormap::kSeismic
-                      ? render::TransferFunction::seismic()
-                      : render::TransferFunction::grayscale())),
-        num_steps(config.num_steps < 0
-                      ? reader.meta().num_steps
-                      : std::min(config.num_steps, reader.meta().num_steps)),
-        view(reader.meta().domain, config.width, config.height,
-             config.orbit_deg_per_step, config.render, config.steer,
-             num_steps, config.rebalance_every) {
-    blocks = octree::decompose(mesh->octree(), cfg.block_level);
-    octree::estimate_workloads(mesh->octree(), blocks,
-                               octree::WorkloadModel::kCellCount);
-    owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
-    index = io::BlockNodeIndex(*mesh, blocks);
-  }
+                                        : config.adaptive_level) {}
 
-  std::uint64_t level_offset() const { return reader.level_offset_bytes(level); }
-  std::uint64_t level_nodes() const {
-    return reader.level_bytes(level) / reader.node_record_bytes();
+  int num_steps() const {
+    return cfg.num_steps < 0 ? reader.meta().num_steps
+                             : std::min(cfg.num_steps, reader.meta().num_steps);
   }
+  std::uint64_t level_offset() const { return reader.level_offset_bytes(level); }
   std::size_t comps() const { return std::size_t(reader.meta().components); }
 };
 
@@ -168,21 +174,21 @@ struct StepWindow {
 // Read `step`, then s-1 and s+1 when enhancing, each with `read(step)`.
 // The first read that fails throws and leaves the rest unread.
 template <typename Read>
-StepWindow read_window(const Setup& st, int step, Read&& read) {
+StepWindow read_window(const DatasetSource& src, int step, Read&& read) {
   StepWindow w;
   w.cur = read(step);
-  if (st.cfg.enhancement) {
+  if (src.cfg.enhancement) {
     if (step > 0) w.prev = read(step - 1);
-    if (step + 1 < st.reader.meta().num_steps) w.next = read(step + 1);
+    if (step + 1 < src.reader.meta().num_steps) w.next = read(step + 1);
   }
   return w;
 }
 
 // Scalar derivation from interleaved records, with optional temporal
 // enhancement from neighbor-step buffers.
-std::vector<float> make_scalar(const PipelineConfig& cfg, const Setup& st,
-                               const StepWindow& w) {
-  const int comps = st.reader.meta().components;
+std::vector<float> make_scalar(const DatasetSource& src, const StepWindow& w) {
+  const PipelineConfig& cfg = src.cfg;
+  const int comps = src.reader.meta().components;
   auto scalar = io::derive_scalar(w.cur, comps, cfg.variable);
   if (!cfg.enhancement) return scalar;
   std::vector<float> pm, nm;
@@ -191,10 +197,11 @@ std::vector<float> make_scalar(const PipelineConfig& cfg, const Setup& st,
   return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
 }
 
-void input_lic(vmpi::Comm& world, const PipelineConfig& cfg, const Setup& st,
-               int step, std::span<const float> interleaved,
+void input_lic(vmpi::Comm& world, const PipelineConfig& cfg,
+               const mesh::HexMesh& mesh, int step,
+               std::span<const float> interleaved,
                std::optional<lic::Quadtree>& qt) {
-  auto field = lic::extract_surface_field(*st.mesh, interleaved);
+  auto field = lic::extract_surface_field(mesh, interleaved);
   if (!qt) qt.emplace(field.positions);
   int res = cfg.lic_resolution;
   auto grid = lic::resample(field, *qt, res, res);
@@ -209,13 +216,13 @@ void input_lic(vmpi::Comm& world, const PipelineConfig& cfg, const Setup& st,
                gray.size() * sizeof(float)});
 }
 
-// Control-plane listener of an input rank. Everything an input ever
-// receives funnels through here: epoch assignments, NACK resend requests,
-// and the end-of-run DONE markers from the renderers. Centralizing the
-// dispatch is what keeps NACK servicing deadlock-free: an input blocked
-// waiting for an assignment (or for the renderers to finish) keeps
-// servicing resend requests from renderers that may themselves be blocked
-// waiting on it.
+// Control-plane listener of a data-source rank. Everything an input or sim
+// rank ever receives funnels through here: epoch assignments, NACK resend
+// requests, and the end-of-run DONE markers from the renderers.
+// Centralizing the dispatch is what keeps NACK servicing deadlock-free: a
+// source blocked waiting for an assignment (or for the renderers to finish)
+// keeps servicing resend requests from renderers that may themselves be
+// blocked waiting on it.
 struct InputControl {
   vmpi::Comm& world;
   // Regenerate and resend the message a renderer NACKed. Must not throw: a
@@ -224,9 +231,16 @@ struct InputControl {
   std::map<int, std::vector<int>> assignments{};  // epoch -> owners
   int done_count = 0;
 
-  void dispatch_one() {
+  // Handle one message; without `block`, only one already queued (false
+  // when there was none).
+  bool dispatch_one(bool block = true) {
     std::vector<std::uint8_t> buf;
-    vmpi::Status st = world.recv(vmpi::kAnySource, vmpi::kAnyTag, buf);
+    vmpi::Status st;
+    if (block) {
+      st = world.recv(vmpi::kAnySource, vmpi::kAnyTag, buf);
+    } else if (!world.try_recv(vmpi::kAnySource, vmpi::kAnyTag, buf, &st)) {
+      return false;
+    }
     if (st.tag == kTagNack) {
       NackMsg nack;
       if (buf.size() != sizeof(nack))
@@ -245,6 +259,13 @@ struct InputControl {
     } else {
       throw std::runtime_error("pipeline: unexpected input-rank message, tag=" +
                                std::to_string(st.tag));
+    }
+    return true;
+  }
+
+  // Service whatever has already arrived, without waiting for more.
+  void poll() {
+    while (dispatch_one(/*block=*/false)) {
     }
   }
 
@@ -276,17 +297,18 @@ struct StepReader {
   std::vector<mesh::NodeId> nodes;
   vmpi::IndexedBlockView view;
 
-  std::vector<float> read(vmpi::Comm& world, const Setup& st, int step) const {
-    vmpi::File f(group ? *group : world, st.reader.step_path(step));
-    f.set_retry_policy(st.cfg.io_retry);
-    std::vector<float> data((group ? nodes.size() : count) * st.comps());
+  std::vector<float> read(vmpi::Comm& world, const DatasetSource& src,
+                          int step) const {
+    vmpi::File f(group ? *group : world, src.reader.step_path(step));
+    f.set_retry_policy(src.cfg.io_retry);
+    std::vector<float> data((group ? nodes.size() : count) * src.comps());
     const std::span out(reinterpret_cast<std::uint8_t*>(data.data()),
                         data.size() * sizeof(float));
     if (group) {
       f.set_view(view);
       f.read_all(out);
     } else {
-      f.read_at(st.level_offset() + first * st.comps() * sizeof(float), out);
+      f.read_at(src.level_offset() + first * src.comps() * sizeof(float), out);
     }
     return data;
   }
@@ -294,20 +316,21 @@ struct StepReader {
   // The records at `positions` of the node array, for a NACK resend. A
   // resend must never enter a collective (the rest of the group is not
   // listening), so the collective reader re-reads those nodes one by one.
-  std::vector<float> reread(vmpi::Comm& world, const Setup& st, int step,
+  std::vector<float> reread(vmpi::Comm& world, const DatasetSource& src,
+                            int step,
                             std::span<const std::uint32_t> positions) const {
-    const std::size_t comps = st.comps();
+    const std::size_t comps = src.comps();
     std::vector<float> out(positions.size() * comps);
     if (!group) {
-      const std::vector<float> all = read(world, st, step);
+      const std::vector<float> all = read(world, src, step);
       for (std::size_t i = 0; i < positions.size(); ++i)
         std::copy_n(&all[positions[i] * comps], comps, &out[i * comps]);
       return out;
     }
-    vmpi::File f(world, st.reader.step_path(step));
-    f.set_retry_policy(st.cfg.io_retry);
+    vmpi::File f(world, src.reader.step_path(step));
+    f.set_retry_policy(src.cfg.io_retry);
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      f.read_at(st.level_offset() +
+      f.read_at(src.level_offset() +
                     std::uint64_t(nodes[positions[i]]) * comps * sizeof(float),
                 {reinterpret_cast<std::uint8_t*>(&out[i * comps]),
                  comps * sizeof(float)});
@@ -330,31 +353,31 @@ struct InputPlan {
 };
 
 // `group` spans this rank's 2DIP group; null under 1DIP.
-InputPlan make_input_plan(const Setup& st, vmpi::Comm* group,
-                          std::span<const int> owners) {
-  const PipelineConfig& cfg = st.cfg;
+InputPlan make_input_plan(const DatasetSource& src, const Scene& scene,
+                          vmpi::Comm* group, std::span<const int> owners) {
+  const PipelineConfig& cfg = src.cfg;
   InputPlan p;
   switch (cfg.strategy) {
     case IoStrategy::kOneDip:
-      p.reader.count = st.level_nodes();
-      p.msgs = per_block_msgs(st.index, owners);
+      p.reader.count = scene.mesh.node_count();
+      p.msgs = per_block_msgs(scene.index, owners);
       break;
     case IoStrategy::kTwoDipCollective: {
       // This member serves render procs {r : r % m == mi}; its view is their
       // blocks' merged node list, which every block's positions index.
       std::vector<std::size_t> mine;
-      for (std::size_t b = 0; b < st.blocks.size(); ++b)
+      for (std::size_t b = 0; b < scene.blocks.size(); ++b)
         if (owners[b] % cfg.input_procs == group->rank()) mine.push_back(b);
       StepReader& rd = p.reader;
       rd.group = group;
-      rd.nodes = io::merged_nodes(st.index, mine);
-      rd.view.elem_bytes = st.comps() * sizeof(float);
-      const std::uint64_t base_elems = st.level_offset() / rd.view.elem_bytes;
+      rd.nodes = io::merged_nodes(scene.index, mine);
+      rd.view.elem_bytes = src.comps() * sizeof(float);
+      const std::uint64_t base_elems = src.level_offset() / rd.view.elem_bytes;
       for (auto nid : rd.nodes) rd.view.block_offsets.push_back(base_elems + nid);
       for (std::size_t b : mine) {
         auto& pos = p.msgs.emplace_back(owners[b], std::int32_t(b)).positions;
         auto it = rd.nodes.begin();  // both lists are sorted
-        for (mesh::NodeId n : st.index.block_nodes(b)) {
+        for (mesh::NodeId n : scene.index.block_nodes(b)) {
           it = std::lower_bound(it, rd.nodes.end(), n);
           pos.push_back(std::uint32_t(it - rd.nodes.begin()));
         }
@@ -365,12 +388,13 @@ InputPlan make_input_plan(const Setup& st, vmpi::Comm* group,
       // One message to every renderer: its share of this member's slice, in
       // forward-map order (grouped by block ascending, then block position).
       const std::int32_t mi = group->rank();
-      auto [lo, hi] = io::slice_bounds(st.level_nodes(), mi, cfg.input_procs);
+      auto [lo, hi] =
+          io::slice_bounds(scene.mesh.node_count(), mi, cfg.input_procs);
       p.reader.first = lo;
       p.reader.count = hi - lo;
       p.skip_id = mi;
       for (int r = 0; r < cfg.render_procs; ++r) p.msgs.emplace_back(r, mi);
-      for (const auto& e : io::build_forward_map(st.index, lo, hi))
+      for (const auto& e : io::build_forward_map(scene.index, lo, hi))
         p.msgs[std::size_t(owners[e.block])].positions.push_back(e.slice_pos);
       break;
     }
@@ -382,13 +406,16 @@ InputPlan make_input_plan(const Setup& st, vmpi::Comm* group,
 // One input rank, under every I/O strategy: 1DIP rank r serves steps
 // r, r+m, ...; every member of 2DIP group g serves steps g, g+n, ... Each
 // step is fetched, preprocessed and shipped as the rank's plan says.
-void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
-               vmpi::Comm* group, int rank) {
+// `sources` is the rank's 2DIP group; 1DIP ranks read alone and ignore it.
+void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
+               vmpi::Comm& world, vmpi::Comm& sources) {
   const PipelineConfig& cfg = sh.config;
   const int I = cfg.total_input_procs();
+  const int rank = world.rank();
   const bool one_dip = cfg.strategy == IoStrategy::kOneDip;
   const int stride = one_dip ? cfg.input_procs : cfg.groups;
-  InputPlan plan = make_input_plan(st, group, st.owners);
+  vmpi::Comm* group = one_dip ? nullptr : &sources;
+  InputPlan plan = make_input_plan(src, scene, group, scene.owners);
   int cur_epoch = 0;
   std::optional<lic::Quadtree> qt;
 
@@ -407,10 +434,10 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
     std::vector<std::uint8_t> msg;
     if (m != plan.msgs.end() && range != sent_range.end()) {
       try {
-        auto w = read_window(st, rs, [&](int step) {
-          return plan.reader.reread(world, st, step, m->positions);
+        auto w = read_window(src, rs, [&](int step) {
+          return plan.reader.reread(world, src, step, m->positions);
         });
-        auto q = io::quantize(make_scalar(cfg, st, w), range->second.first,
+        auto q = io::quantize(make_scalar(src, w), range->second.first,
                               range->second.second);
         msg = make_block_msg(rs, m->id, q.lo, q.hi, q.values,
                              cfg.compress_blocks, nullptr, nullptr);
@@ -423,15 +450,16 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
   };
   InputControl ctl{world, regenerate};
 
-  for (int s = one_dip ? rank : rank / cfg.input_procs; s < st.num_steps;
+  for (int s = one_dip ? rank : rank / cfg.input_procs; s < scene.num_steps;
        s += stride) {
     world.fault_checkpoint(s);
     // Dynamic redistribution: pick up the assignment of this step's epoch
     // (the render group publishes one per epoch boundary). Rebalance epochs
     // only — steering epochs never reassign blocks.
-    while (cfg.rebalance_every > 0 && st.view.epoch_of(s) > cur_epoch) {
+    while (cfg.rebalance_every > 0 && scene.view.epoch_of(s) > cur_epoch) {
       ++cur_epoch;
-      plan = make_input_plan(st, group, ctl.await_assignment(cur_epoch));
+      plan = make_input_plan(src, scene, group,
+                             ctl.await_assignment(cur_epoch));
     }
 
     WallTimer t;
@@ -441,8 +469,8 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
     {
       trace::Span fetch_span("pipeline", "fetch", s);
       try {
-        w = read_window(st, s, [&](int step) {
-          return plan.reader.read(world, st, step);
+        w = read_window(src, s, [&](int step) {
+          return plan.reader.read(world, src, step);
         });
       } catch (const vmpi::IoError&) {
         // Permanent failure after retries. A collective read_all aborts on
@@ -463,10 +491,10 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
     io::QuantizedField q;
     {
       trace::Span prep_span("pipeline", "preprocess", s);
-      q = io::quantize(make_scalar(cfg, st, w), cfg.render.value_lo,
+      q = io::quantize(make_scalar(src, w), cfg.render.value_lo,
                        cfg.render.value_hi);
       sent_range[s] = {q.lo, q.hi};
-      if (cfg.lic_overlay) input_lic(world, cfg, st, s, w.cur, qt);
+      if (cfg.lic_overlay) input_lic(world, cfg, scene.mesh, s, w.cur, qt);
     }
     acc.preprocess += t.seconds();
     t.reset();
@@ -488,7 +516,7 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
 // Rendering processors
 // ---------------------------------------------------------------------------
 
-void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
+void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const PipelineConfig& cfg = sh.config;
   const int rr = render_comm.rank();
@@ -496,7 +524,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   const bool rebalancing = cfg.rebalance_every > 0;
 
   RenderAssignment assign;
-  assign.rebuild(*st.mesh, st.blocks, st.index, rr, st.owners);
+  assign.rebuild(scene.mesh, scene.blocks, scene.index, rr, scene.owners);
 
   // Independent-contiguous reads: precompute, per group member, the scatter
   // list of (owned block, position) matching the member's value order.
@@ -509,16 +537,16 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   if (independent) {
     member_scatter.resize(std::size_t(m));
     for (int mi = 0; mi < m; ++mi) {
-      auto [lo, hi] = io::slice_bounds(st.level_nodes(), mi, m);
-      for (const auto& e : io::build_forward_map(st.index, lo, hi)) {
-        if (st.owners[e.block] == rr)
+      auto [lo, hi] = io::slice_bounds(scene.mesh.node_count(), mi, m);
+      for (const auto& e : io::build_forward_map(scene.index, lo, hi)) {
+        if (scene.owners[e.block] == rr)
           member_scatter[std::size_t(mi)].push_back(
               {assign.local_of.at(int(e.block)), e.block_pos});
       }
     }
   }
 
-  RenderStage stage(st.view, st.tf, st.mesh->domain(), st.blocks,
+  RenderStage stage(scene.view, scene.tf, scene.mesh.domain(), scene.blocks,
                     cfg.render_threads,
                     {cfg.compositor, cfg.composite_k, cfg.compress_compositing},
                     world, render_comm);
@@ -529,7 +557,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   // Measured per-block costs of the current epoch (dynamic redistribution).
   std::map<int, double> epoch_costs;
 
-  for (int s = 0; s < st.num_steps; ++s) {
+  for (int s = 0; s < scene.num_steps; ++s) {
     // --- receive this step's data (later steps keep arriving in the
     //     background into the mailbox — that's the §4 overlap) -------------
     // A message can be a skip marker ("this step's data is not coming"), a
@@ -616,9 +644,9 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
       epoch_costs[int(assign.owned[i])] += times.block_s[i];
 
     // --- fine-grain dynamic load redistribution (§7) -----------------------
-    if (rebalancing && s + 1 < st.num_steps &&
-        st.view.epoch_of(s + 1) > st.view.epoch_of(s)) {
-      int next_epoch = st.view.epoch_of(s + 1);
+    if (rebalancing && s + 1 < scene.num_steps &&
+        scene.view.epoch_of(s + 1) > scene.view.epoch_of(s)) {
+      int next_epoch = scene.view.epoch_of(s + 1);
       // Gather (block, cost) pairs at the render root.
       std::vector<std::uint8_t> packed;
       for (const auto& [block, cost] : epoch_costs) {
@@ -630,7 +658,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
       std::vector<int> new_owners;
       if (rr == 0) {
         // Reassign blocks largest-first on the MEASURED costs.
-        std::vector<octree::Block> costed = st.blocks;
+        std::vector<octree::Block> costed = scene.blocks;
         for (const auto& blob : gathered) {
           for (std::size_t off = 0; off + 16 <= blob.size(); off += 16) {
             double rec[2];
@@ -675,14 +703,16 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
         new_owners.resize(wire.size() / sizeof(int));
         std::memcpy(new_owners.data(), wire.data(), wire.size());
       }
-      assign.rebuild(*st.mesh, st.blocks, st.index, rr, std::move(new_owners));
+      assign.rebuild(scene.mesh, scene.blocks, scene.index, rr,
+                     std::move(new_owners));
       epoch_costs.clear();
     }
   }
-  // Release the inputs' control loops: this renderer will NACK no more.
+  // Release the data sources' control loops: this renderer will NACK no
+  // more.
   for (int ip = 0; ip < cfg.total_input_procs(); ++ip)
     world.isend(ip, kTagDone, {});
-  pipe_counters().render_steps.add(std::uint64_t(st.num_steps));
+  pipe_counters().render_steps.add(std::uint64_t(scene.num_steps));
   std::lock_guard lk(sh.mu);
   sh.render += render_time;
   sh.composite += composite_time;
@@ -692,13 +722,13 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 // Output processor
 // ---------------------------------------------------------------------------
 
-void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
+void run_output(Shared& sh, const Scene& scene, vmpi::Comm& world) {
   const PipelineConfig& cfg = sh.config;
   OutputStage out(cfg.width, cfg.height, cfg.output_dir, cfg.serve,
                   cfg.steer.enabled, world.rank());
   std::vector<int> degraded_steps;
   std::vector<float> last_gray;  // LIC texture frame-repeat buffer
-  for (int s = 0; s < st.num_steps; ++s) {
+  for (int s = 0; s < scene.num_steps; ++s) {
     std::vector<std::uint8_t> msg;
     {
       trace::Span wait_span("pipeline", "wait_frame", s);
@@ -724,13 +754,13 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
       }
       if (!last_gray.empty()) {
         img::Image ground = render_ground_overlay(
-            st.view.camera(s), st.mesh->domain(), last_gray,
+            scene.view.camera(s), scene.mesh.domain(), last_gray,
             cfg.lic_resolution, cfg.lic_resolution);
         ground.composite_over(frame);  // volume image in front of LIC plane
         frame = std::move(ground);
       }
     }
-    out.emit(scope, std::uint32_t(st.view.epoch_of(s)), frame);
+    out.emit(scope, std::uint32_t(scene.view.epoch_of(s)), frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   pipe_counters().degraded_frames.add(degraded_steps.size());
@@ -740,10 +770,72 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   sh.report.server = out.finish();
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Simulation processors (the in situ data source)
+// ---------------------------------------------------------------------------
 
-PipelineReport run_pipeline(const PipelineConfig& config,
-                            std::vector<img::Image>* frames_out) {
+// The wave solver runs distributed across the sim group (the element work is
+// partitioned; one force reduction per step), as the paper's simulation
+// side runs on its own processor set. The group's root preprocesses every
+// snapshot straight off the solver's state, with no file system in the
+// path, and streams it to the renderers as 1DIP block messages.
+void run_sim(Shared& sh, const InsituConfig& icfg, const Scene& scene,
+             vmpi::Comm& world, vmpi::Comm& sim_comm, InsituReport& out) {
+  const PipelineConfig& cfg = sh.config;
+  quake::ParallelWaveSolver solver(scene.mesh, icfg.basin.field(), icfg.solver,
+                                   sim_comm);
+  solver.add_source(icfg.source);
+  const bool streamer = sim_comm.rank() == 0;
+  const std::vector<BlockMsgSpec> msgs =
+      per_block_msgs(scene.index, scene.owners);
+  // A NACK is answered with a skip marker, never a resend: the solver has
+  // moved past the snapshot, and keeping every streamed snapshot to
+  // regenerate one would grow memory without bound. The renderer keeps its
+  // stale values, so the frame is flagged degraded, never wrong.
+  InputControl ctl{world, [&world](int step, int, int requester) {
+                     world.isend(requester, tag_block(step),
+                                 make_skip_block_msg(step));
+                   }};
+
+  double sim_seconds = 0.0;
+  for (int snap = 0; snap < scene.num_steps; ++snap) {
+    WallTimer t;
+    {
+      trace::Span sim_span("pipeline", "sim_step", snap);
+      for (int k = 0; k < icfg.steps_per_snapshot; ++k) solver.step();
+    }
+    sim_seconds += t.seconds();
+
+    if (!streamer) continue;  // only the sim group's root streams
+    {
+      trace::Span stream_span("pipeline", "send_blocks", snap);
+      auto scalar = io::derive_scalar(solver.velocity_interleaved(), 3,
+                                      cfg.variable);
+      auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
+      std::uint64_t raw = 0, sent = 0;
+      send_block_msgs(world, cfg.total_input_procs(), snap, q, msgs,
+                      cfg.compress_blocks, &raw, &sent);
+      pipe_counters().block_bytes_raw.add(raw);
+      pipe_counters().block_bytes_sent.add(sent);
+    }
+    // Answer the NACKs that came in meanwhile without holding up the solver.
+    ctl.poll();
+  }
+  if (streamer) {
+    out.sim_seconds = sim_seconds;
+    out.sim_time_reached = solver.time();
+  }
+  ctl.drain_until_done(cfg.render_procs);
+}
+
+// ---------------------------------------------------------------------------
+// The rank body of the batch pipeline and in situ
+// ---------------------------------------------------------------------------
+
+// Every check of a configuration, from run_pipeline or run_insitu.
+void validate(const PipelineConfig& config) {
+  if (config.width < 1 || config.height < 1)
+    throw std::runtime_error("pipeline: width and height must be >= 1");
   if (config.compositor == Compositor::kRadixK && config.composite_k < 2)
     throw std::runtime_error("pipeline: composite_k must be >= 2");
   if (config.lic_overlay && config.strategy != IoStrategy::kOneDip)
@@ -776,7 +868,64 @@ PipelineReport run_pipeline(const PipelineConfig& config,
           "pipeline: a kill fault requires recv_timeout_ms > 0 — a dead "
           "input is only detectable by the absence of its traffic");
   }
+}
 
+// Names the calling rank's trace lane: "<source> N" for the first
+// `sources` ranks, "render N" for the next `renderers`, "output" for the
+// last.
+void label_rank_thread(int rank, int sources, int renderers,
+                       const char* source) {
+  if (!trace::enabled()) return;
+  char name[32];
+  if (rank < sources)
+    std::snprintf(name, sizeof(name), "%s %d", source, rank);
+  else if (rank < sources + renderers)
+    std::snprintf(name, sizeof(name), "render %d", rank - sources);
+  else
+    std::snprintf(name, sizeof(name), "output");
+  trace::set_thread(rank, name);
+}
+
+// One rank of run_pipeline or run_insitu. The world is laid out as the
+// data-source ranks ([0, total_input_procs()), trace lanes "<lane> N"), then
+// the render group, then the output rank last. The rank joins its role's
+// communicator and the start barrier (the frame clocks begin there), then
+// runs its role; the data-source role is `source`, handed the communicator
+// of its group: under 2DIP the rank's own group of input_procs ranks, else
+// every data-source rank. Every split precedes the barrier, so none of it
+// lands on the frame clocks.
+void run_rank(Shared& sh, const Scene& scene, vmpi::Comm& world,
+              const char* lane,
+              const std::function<void(vmpi::Comm& sources)>& source) {
+  const PipelineConfig& cfg = sh.config;
+  const int I = cfg.total_input_procs();
+  const int R = cfg.render_procs;
+  const int r = world.rank();
+  const int role = r < I ? 0 : (r < I + R ? 1 : 2);
+  label_rank_thread(r, I, R, lane);
+  vmpi::Comm sub = world.split(role, r);
+  if (role == 0 && cfg.strategy != IoStrategy::kOneDip)
+    sub = sub.split(r / cfg.input_procs, r % cfg.input_procs);
+  world.barrier();  // synchronized start: frame clocks begin here
+  switch (role) {
+    case 0:
+      source(sub);
+      break;
+    case 1:
+      run_render(sh, scene, world, sub);
+      break;
+    default:
+      run_output(sh, scene, world);
+      break;
+  }
+}
+
+// Validate `config`, run `rank` on each of its world's ranks, and fill the
+// report from what the roles recorded.
+PipelineReport run_ranks(const PipelineConfig& config,
+                         std::vector<img::Image>* frames_out,
+                         const std::function<void(Shared&, vmpi::Comm&)>& rank) {
+  validate(config);
   Shared sh{config, frames_out};
 
   // Surface the algorithm choice: tests and qv-run-report assert on it.
@@ -811,35 +960,9 @@ PipelineReport run_pipeline(const PipelineConfig& config,
   const std::uint64_t base_retries = pc.io_retries.value();
   const std::uint64_t base_composite_bytes = pc.composite_bytes.value();
 
-  vmpi::Runtime::run(config.world_size(), [&sh, &config](vmpi::Comm& world) {
-    Setup st(config);
-    const int I = config.total_input_procs();
-    const int R = config.render_procs;
-    const int r = world.rank();
-    const int role = r < I ? 0 : (r < I + R ? 1 : 2);
-
-    label_rank_thread(r, I, R, "input");
-
-    vmpi::Comm sub = world.split(role, r);
-    std::optional<vmpi::Comm> group_comm;
-    if (role == 0 && config.strategy != IoStrategy::kOneDip) {
-      int group = r / config.input_procs;
-      group_comm.emplace(sub.split(group, r % config.input_procs));
-    }
-    world.barrier();  // synchronized start: frame clocks begin here
-
-    switch (role) {
-      case 0:
-        run_input(sh, st, world, group_comm ? &*group_comm : nullptr, r);
-        break;
-      case 1:
-        run_render(sh, st, world, sub);
-        break;
-      default:
-        run_output(sh, st, world);
-        break;
-    }
-  }, config.fault_plan);
+  vmpi::Runtime::run(
+      config.world_size(), [&](vmpi::Comm& world) { rank(sh, world); },
+      config.fault_plan);
 
   PipelineReport& rep = sh.report;
   const int render_steps_total = int(pc.render_steps.value() - base_render_steps);
@@ -869,6 +992,76 @@ PipelineReport run_pipeline(const PipelineConfig& config,
   rep.degraded_frames = int(pc.degraded_frames.value() - base_degraded);
   rep.avg_interframe = steady_interframe(rep.frame_seconds);
   return rep;
+}
+
+}  // namespace
+
+PipelineReport run_pipeline(const PipelineConfig& config,
+                            std::vector<img::Image>* frames_out) {
+  return run_ranks(config, frames_out, [&config](Shared& sh,
+                                                 vmpi::Comm& world) {
+    DatasetSource src(config);
+    const Scene scene(config, src.reader.level_mesh(src.level),
+                      src.reader.meta().domain, src.num_steps());
+    run_rank(sh, scene, world, "input", [&](vmpi::Comm& sources) {
+      run_input(sh, src, scene, world, sources);
+    });
+  });
+}
+
+mesh::HexMesh build_insitu_mesh(const InsituConfig& config) {
+  auto tree = mesh::LinearOctree::build(
+      config.domain,
+      config.basin.size_field(config.mesh_max_freq_hz,
+                              config.mesh_points_per_wavelength),
+      config.mesh_min_level, config.mesh_max_level);
+  return mesh::HexMesh(std::move(tree));
+}
+
+InsituReport run_insitu(const InsituConfig& config,
+                        std::vector<img::Image>* frames_out) {
+  if (config.snapshots < 1)
+    throw std::runtime_error("insitu: snapshots must be >= 1");
+  if (config.fault_plan && config.fault_plan->kill_rank >= 0)
+    throw std::runtime_error(
+        "insitu: rank-kill faults are not survivable: the sim group reduces "
+        "forces across every member each solver step");
+  // The solver group takes the input ranks' place, one 1DIP sender; every
+  // other field keeps its default (SLIC without compression, Morton-
+  // contiguous assignment of level-2 blocks, the seismic transfer function,
+  // the velocity magnitude).
+  PipelineConfig pc;
+  pc.strategy = IoStrategy::kOneDip;
+  pc.input_procs = config.sim_procs;
+  pc.render_procs = config.render_procs;
+  pc.render_threads = config.render_threads;
+  pc.width = config.width;
+  pc.height = config.height;
+  pc.render = config.render;
+  pc.orbit_deg_per_step = config.orbit_deg_per_step;
+  pc.output_dir = config.output_dir;
+  pc.serve = config.serve;
+  pc.steer = config.steer;
+  pc.fault_plan = config.fault_plan;
+
+  InsituReport out;
+  PipelineReport rep = run_ranks(pc, frames_out, [&](Shared& sh,
+                                                     vmpi::Comm& world) {
+    const mesh::HexMesh mesh = build_insitu_mesh(config);
+    const Scene scene(pc, mesh, mesh.domain(), config.snapshots);
+    run_rank(sh, scene, world, "sim", [&](vmpi::Comm& sim_comm) {
+      run_sim(sh, config, scene, world, sim_comm, out);
+    });
+  });
+  out.frame_seconds = std::move(rep.frame_seconds);
+  out.avg_interframe = rep.avg_interframe;
+  out.snapshots = rep.steps;
+  out.degraded_frames = rep.degraded_frames;
+  out.degraded_steps = std::move(rep.degraded_steps);
+  out.corrupt_blocks_detected = rep.corrupt_blocks_detected;
+  out.resend_requests = rep.resend_requests;
+  out.server = std::move(rep.server);
+  return out;
 }
 
 }  // namespace qv::core

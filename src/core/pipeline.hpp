@@ -24,6 +24,9 @@
 // The block decomposition, workload estimation, and block->renderer
 // assignment are computed identically on every rank from the dataset's
 // octree (the "one-time preprocessing" of §4; the mesh never changes).
+//
+// In situ (core/insitu.hpp) runs the same rank body, render role, output
+// role and report, with the solver group in the input ranks' place.
 #pragma once
 
 #include <string>

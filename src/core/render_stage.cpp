@@ -78,19 +78,6 @@ void RenderAssignment::rebuild(const mesh::HexMesh& mesh,
   }
 }
 
-void label_rank_thread(int rank, int sources, int renderers,
-                       const char* source) {
-  if (!trace::enabled()) return;
-  char name[32];
-  if (rank < sources)
-    std::snprintf(name, sizeof(name), "%s %d", source, rank);
-  else if (rank < sources + renderers)
-    std::snprintf(name, sizeof(name), "render %d", rank - sources);
-  else
-    std::snprintf(name, sizeof(name), "output");
-  trace::set_thread(rank, name);
-}
-
 RenderStage::RenderStage(const ViewSchedule& view,
                          const render::TransferFunction& tf,
                          const Box3& domain,

@@ -1,10 +1,10 @@
-// The rendering processor's per-step stage (§4, Figure 2), shared by the
-// batch pipeline and in situ. The two differ only in their data source, so
-// each keeps its own receive loop and hands the received block values to
+// The rendering processor's per-step stage (§4, Figure 2). The pipeline's
+// render role (core/pipeline.cpp) runs one receive loop for every data
+// source — dataset input ranks or the in situ solver root — with NACK and
+// degrade handling, and hands the received block values to
 // RenderStage::run(), which raycasts them, composites with the render
-// group, and has render rank 0 send the frame to the output processor. Both
-// lay out the world alike: data-source ranks, then the render group, then
-// the output rank last.
+// group, and has render rank 0 send the frame to the output processor, the
+// last world rank.
 #pragma once
 
 #include <cstdint>
@@ -67,11 +67,6 @@ struct CompositeMode {
   int k = 4;
   bool compress = false;
 };
-
-// Names the calling rank's trace lane: "<source> N" for the first `sources`
-// ranks, "render N" for the next `renderers`, "output" for the last.
-void label_rank_thread(int rank, int sources, int renderers,
-                       const char* source);
 
 class RenderStage {
  public:

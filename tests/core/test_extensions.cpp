@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
+#include <memory>
 
 #include "core/insitu.hpp"
 #include "core/pipeline.hpp"
@@ -12,6 +14,7 @@
 #include "io/block_index.hpp"
 #include "render/raycast.hpp"
 #include "quake/synthetic.hpp"
+#include "util/sha256.hpp"
 
 namespace qv::core {
 namespace {
@@ -274,14 +277,35 @@ TEST(Insitu, ProducesFramesWhileSimulating) {
   }
 }
 
+// small_insitu() with an orbit rendered by a threaded pool: the render stage
+// re-places the camera and visibility order every snapshot.
+InsituConfig orbiting_insitu() {
+  auto cfg = small_insitu();
+  cfg.orbit_deg_per_step = 40.0f;
+  cfg.render_threads = 3;
+  return cfg;
+}
+
+// SHA-256 of a run's frames as the output rank writes them: tone-mapped to
+// 8 bits, in step order.
+std::string frames_sha(const std::vector<img::Image>& frames) {
+  std::vector<std::uint8_t> bytes;
+  for (const img::Image& f : frames) {
+    const img::Image8 b = img::to_8bit(f, {0.02f, 0.02f, 0.05f});
+    bytes.insert(bytes.end(), b.data(), b.data() + b.byte_count());
+  }
+  return util::Sha256::hex(bytes.data(), bytes.size());
+}
+
+bool same_pixels(const img::Image& a, const img::Image& b) {
+  return a.pixels().size() == b.pixels().size() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(),
+                     a.pixels().size_bytes()) == 0;
+}
+
 TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
-  // The fixed overview camera, and an orbit rendered by a threaded pool:
-  // the render stage re-places the camera and visibility order every
-  // snapshot there.
-  auto orbiting = small_insitu();
-  orbiting.orbit_deg_per_step = 40.0f;
-  orbiting.render_threads = 3;
-  for (const InsituConfig& cfg : {small_insitu(), orbiting}) {
+  // The fixed overview camera, and the orbiting threaded variant.
+  for (const InsituConfig& cfg : {small_insitu(), orbiting_insitu()}) {
     SCOPED_TRACE("orbit " + std::to_string(cfg.orbit_deg_per_step) +
                  ", threads " + std::to_string(cfg.render_threads));
     std::vector<img::Image> frames;
@@ -289,11 +313,13 @@ TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
     ASSERT_EQ(frames.size(), std::size_t(cfg.snapshots));
 
     // Re-run the identical (deterministic) simulation offline and render
-    // the state at every snapshot with the serial machinery.
+    // the state at every snapshot with the serial machinery, at in situ's
+    // fixed choices: level-2 blocks, the seismic transfer function and the
+    // velocity magnitude.
     mesh::HexMesh mesh = build_insitu_mesh(cfg);
     quake::WaveSolver solver(mesh, cfg.basin.field(), cfg.solver);
     solver.add_source(cfg.source);
-    auto blocks = octree::decompose(mesh.octree(), cfg.block_level);
+    auto blocks = octree::decompose(mesh.octree(), 2);
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     io::BlockNodeIndex index(mesh, blocks);
@@ -301,7 +327,7 @@ TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
     for (int snap = 0; snap < cfg.snapshots; ++snap) {
       for (int k = 0; k < cfg.steps_per_snapshot; ++k) solver.step();
       auto scalar = io::derive_scalar(solver.velocity_interleaved(), 3,
-                                      cfg.variable);
+                                      io::Variable::kMagnitude);
       auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
       for (std::size_t i = 0; i < scalar.size(); ++i)
         scalar[i] = q.dequantize(i);
@@ -326,6 +352,29 @@ TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
   }
 }
 
+// Pinned byte for byte, as the output rank writes them: no change to the
+// rank body, the render and output roles or the solver role may move an in
+// situ output byte unnoticed. If a change is meant to alter the frames, copy
+// the printed hashes here in the same commit.
+TEST(Insitu, FramesArePinned) {
+  constexpr const char* kFixed =
+      "87d008a2941ae1107e3a853832253ce77233f2c9bf05158cd0e93bea786232ff";
+  constexpr const char* kOrbiting =
+      "dd7bd1c46f7db8ab90f36197120f062bf3da9250e7ef521e8a39188dfc584d4c";
+  std::vector<img::Image> frames;
+  run_insitu(small_insitu(), &frames);
+  std::string got = frames_sha(frames);
+  EXPECT_EQ(got, kFixed) << "fixed-camera frames changed; if intended, set "
+                            "kFixed to "
+                         << got;
+  frames.clear();
+  run_insitu(orbiting_insitu(), &frames);
+  got = frames_sha(frames);
+  EXPECT_EQ(got, kOrbiting) << "orbiting frames changed; if intended, set "
+                               "kOrbiting to "
+                            << got;
+}
+
 TEST(Insitu, ParallelSimulationGroupMatchesSingleSimRank) {
   auto cfg = small_insitu();
   std::vector<img::Image> one, three;
@@ -342,12 +391,70 @@ TEST(Insitu, ParallelSimulationGroupMatchesSingleSimRank) {
   }
 }
 
+// The corruption wall: one corrupted block message, the first or the last
+// of any snapshot, degrades that snapshot's frame and no other. The renderer
+// NACKs it, the sim root answers with a skip marker (the solver has moved
+// on), and the run returns with every other frame bit-identical to the
+// fault-free run's.
+TEST(Insitu, CorruptBlockDegradesOnlyItsSnapshot) {
+  // The sim root sends each snapshot as one message per block, in block
+  // order: its n-th user send is block n % B of snapshot n / B.
+  const std::uint64_t B =
+      octree::decompose(build_insitu_mesh(small_insitu()).octree(), 2).size();
+  ASSERT_EQ(B, 64u);
+  for (int sim_procs : {1, 3}) {
+    for (int renderers : {2, 3}) {
+      auto cfg = small_insitu();
+      cfg.sim_procs = sim_procs;
+      cfg.render_procs = renderers;
+      std::vector<img::Image> want;
+      const auto clean = run_insitu(cfg, &want);
+      ASSERT_EQ(clean.corrupt_blocks_detected, 0u);
+      ASSERT_EQ(clean.degraded_frames, 0);
+      for (std::uint64_t k = 0; k < std::uint64_t(cfg.snapshots); ++k) {
+        for (std::uint64_t n : {k * B, (k + 1) * B - 1}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "sim_procs " << sim_procs << ", renderers "
+                       << renderers << ", corrupt send " << n);
+          auto plan = std::make_shared<vmpi::FaultPlan>();
+          plan->corrupt_sends = {{0, n}};
+          cfg.fault_plan = plan;
+          std::vector<img::Image> got;
+          const auto rep = run_insitu(cfg, &got);
+          EXPECT_EQ(rep.corrupt_blocks_detected, 1u);
+          EXPECT_EQ(rep.resend_requests, 1u);
+          EXPECT_EQ(rep.degraded_frames, 1);
+          EXPECT_EQ(rep.degraded_steps, std::vector<int>{int(n / B)});
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t s = 0; s < got.size(); ++s) {
+            if (s == n / B) continue;
+            EXPECT_TRUE(same_pixels(got[s], want[s])) << "frame " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Insitu, BadConfigThrows) {
   auto cfg = small_insitu();
   cfg.render_procs = 0;
   EXPECT_THROW(run_insitu(cfg), std::runtime_error);
   cfg = small_insitu();
   cfg.snapshots = 0;
+  EXPECT_THROW(run_insitu(cfg), std::runtime_error);
+  cfg = small_insitu();
+  cfg.width = 0;
+  EXPECT_THROW(run_insitu(cfg), std::runtime_error);
+  cfg = small_insitu();
+  cfg.height = 0;
+  EXPECT_THROW(run_insitu(cfg), std::runtime_error);
+  // The sim group's force reduction cannot survive a death.
+  cfg = small_insitu();
+  auto kill = std::make_shared<vmpi::FaultPlan>();
+  kill->kill_rank = 0;
+  kill->kill_at_step = 1;
+  cfg.fault_plan = kill;
   EXPECT_THROW(run_insitu(cfg), std::runtime_error);
 }
 

@@ -108,6 +108,8 @@ for path in sys.argv[1:]:
     r = json.load(open(path))
     c = r["counters"]
     h = r["histograms"]
+    tracked = {m["name"] for m in r["tracked"]}
+    assert "interframe_s" in tracked, f"{r['kind']}: tracked = {sorted(tracked)}"
     client = r["e2e"]["clients"][0]
     assert client["frames"] == 4, client
     assert c.get("stream.server.dropped_frames", -1) == 0, c
@@ -129,7 +131,28 @@ EOF
   local pipe=(./build/tools/quakeviz pipeline --dataset="$work/ds" --inputs=2
               --renderers=2 --width=96 --height=72 --vmax=3)
   local serve_run=(./build/tools/quakeviz serve --steps=10)
+  local render=(./build/tools/quakeviz render --dataset="$work/ds"
+                --out="$work/one.ppm" --width=96 --height=72 --vmax=3)
+  local insitu=(./build/tools/quakeviz insitu --snapshots=2 --renderers=2
+                --width=96 --height=72)
   must_reject render-threads "${pipe[@]}" --render-threads=abc
+  must_reject render-threads "${pipe[@]}" --render-threads=0
+  must_reject render-threads "${insitu[@]}" --render-threads=0
+  must_reject render-threads "${serve_run[@]}" --steer --render-threads=0
+  must_reject renderers "${pipe[@]}" --renderers=0
+  must_reject renderers "${insitu[@]}" --renderers=0
+  must_reject inputs "${pipe[@]}" --inputs=0
+  must_reject snapshots "${insitu[@]}" --snapshots=0
+  must_reject width "${render[@]}" --width=0
+  must_reject height "${render[@]}" --height=-1
+  must_reject width "${pipe[@]}" --width=0
+  must_reject height "${pipe[@]}" --height=-1
+  must_reject width "${insitu[@]}" --width=0
+  must_reject height "${insitu[@]}" --height=-1
+  must_reject width "${serve_run[@]}" --width=0
+  must_reject height "${serve_run[@]}" --height=-1
+  must_reject width "${serve_run[@]}" --steer --width=0
+  must_reject height "${serve_run[@]}" --steer --height=-1
   must_reject serve-budget "${pipe[@]}" --serve-budget=1e30
   must_reject serve-budget "${pipe[@]}" --serve-budget=-1
   must_reject serve-clients "${pipe[@]}" --serve-clients=0
@@ -227,8 +250,9 @@ tsan() {
       test_control test_steer
   # TSAN_OPTIONS halt_on_error makes a data-race report a hard failure.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_vmpi
-  # In situ runs the shared render stage: the threaded render pool and the
-  # SLIC exchange, fed by the solver root.
+  # In situ runs the pipeline's render role, fed by the solver root: its
+  # receive loop and NACK path (the corruption wall), the threaded render
+  # pool and the SLIC exchange.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pipeline \
       --gtest_filter='FaultPipelineTest.*:Insitu.*'
   # TraceOverlapTest is a timing experiment (deliberate I/O delays); the
@@ -342,7 +366,8 @@ asan() {
   local -x UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   fuzz_walls build-asan
   # The input -> render block messages end to end (every I/O strategy, the
-  # NACK regenerators under payload corruption, and in situ) and the
+  # NACK regenerators under payload corruption, and in situ, which runs the
+  # pipeline's receive loop and answers NACKs from the solver root) and the
   # render -> output frame message.
   ./build-asan/tests/test_pipeline \
       --gtest_filter='BlockMsg.*:FrameMsg.*:PipelineTest.*:FaultPipelineTest.*:Insitu.*'

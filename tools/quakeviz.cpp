@@ -121,7 +121,9 @@
 //       message saying where the file went bad.
 //
 // Unknown --options are rejected with the command's known-flag list, so a
-// typo can't silently fall back to a default.
+// typo can't silently fall back to a default. Image sizes and counts
+// (--width, --height, --renderers, --render-threads, --inputs, --groups,
+// --snapshots) below 1 exit 2 naming the flag.
 #include <algorithm>
 #include <climits>
 #include <cstdio>
@@ -258,6 +260,18 @@ double positive_real(const Args& args, const std::string& flag,
   return v;
 }
 
+// Range-checked counts and image sizes: 0 or less would run silently wrong
+// (an empty image, one thread for zero) or fail without naming the flag.
+int positive_int(const Args& args, const std::string& flag, int fallback) {
+  const int v = args.num(flag, fallback);
+  if (v < 1) {
+    std::fprintf(stderr, "invalid value for --%s: %d (must be >= 1)\n",
+                 flag.c_str(), v);
+    std::exit(2);
+  }
+  return v;
+}
+
 double non_negative_real(const Args& args, const std::string& flag,
                          double fallback) {
   const double v = args.real(flag, fallback);
@@ -290,14 +304,7 @@ int parse_fleet_flags(const Args& args, const std::string& prefix,
   server.queue_budget_bytes = std::size_t(bytes);
   server.evict_timeout_s =
       positive_real(args, prefix + "evict-timeout", server.evict_timeout_s);
-  const std::string clients = prefix + "clients";
-  const int count = args.num(clients, 4);
-  if (count < 1) {
-    std::fprintf(stderr, "invalid value for --%s: %d (must be >= 1)\n",
-                 clients.c_str(), count);
-    std::exit(2);
-  }
-  return count;
+  return positive_int(args, prefix + "clients", 4);
 }
 
 // The frame-delivery flags shared by `pipeline` and `insitu`. Any of them
@@ -623,7 +630,8 @@ int cmd_render(const Args& args) {
   cfg.enhancement = args.flag("enhance");
   cfg.variable = parse_variable(args.str("variable", "magnitude"));
   cfg.render.value_hi = float(args.real("vmax", 1.0));
-  int w = args.num("width", 512), h = args.num("height", 512);
+  int w = positive_int(args, "width", 512);
+  int h = positive_int(args, "height", 512);
   int step = args.num("step", 0);
   auto cam = render::Camera::orbit(reader.meta().domain, w, h,
                                    float(args.real("orbit", 0.0)));
@@ -672,12 +680,12 @@ int cmd_pipeline(const Args& args) {
     std::fprintf(stderr, "unknown strategy: %s\n", strategy.c_str());
     return 2;
   }
-  cfg.input_procs = args.num("inputs", 2);
-  cfg.groups = args.num("groups", 1);
-  cfg.render_procs = args.num("renderers", 4);
-  cfg.render_threads = args.num("render-threads", 1);
-  cfg.width = args.num("width", 512);
-  cfg.height = args.num("height", 384);
+  cfg.input_procs = positive_int(args, "inputs", 2);
+  cfg.groups = positive_int(args, "groups", 1);
+  cfg.render_procs = positive_int(args, "renderers", 4);
+  cfg.render_threads = positive_int(args, "render-threads", 1);
+  cfg.width = positive_int(args, "width", 512);
+  cfg.height = positive_int(args, "height", 384);
   cfg.num_steps = args.num("steps", -1);
   cfg.adaptive_level = args.num("level", -1);
   cfg.lic_overlay = args.flag("lic");
@@ -818,11 +826,11 @@ int cmd_insitu(const Args& args) {
   cfg.source.peak_freq_hz = 0.5f;
   cfg.source.delay_s = 2.4f;
   cfg.source.amplitude = 5e12f;
-  cfg.snapshots = args.num("snapshots", 8);
-  cfg.render_procs = args.num("renderers", 2);
-  cfg.render_threads = args.num("render-threads", 1);
-  cfg.width = args.num("width", 384);
-  cfg.height = args.num("height", 288);
+  cfg.snapshots = positive_int(args, "snapshots", 8);
+  cfg.render_procs = positive_int(args, "renderers", 2);
+  cfg.render_threads = positive_int(args, "render-threads", 1);
+  cfg.width = positive_int(args, "width", 384);
+  cfg.height = positive_int(args, "height", 288);
   cfg.render.value_hi = float(args.real("vmax", 0.05));
   cfg.orbit_deg_per_step = float(args.real("orbit", 0.0));
   cfg.output_dir = args.str("out", "");
@@ -835,11 +843,8 @@ int cmd_insitu(const Args& args) {
   outputs.arm();
   auto report = core::run_insitu(cfg);
   const int rc = outputs.finish("insitu", [&](metrics::RunReport& rr) {
-    double frame_total = 0.0;
-    for (double s : report.frame_seconds) frame_total += s;
+    rr.track("interframe_s", report.avg_interframe, "s");
     rr.track("sim_s", report.sim_seconds, "s");
-    rr.track("frame_s",
-             report.snapshots > 0 ? frame_total / report.snapshots : 0.0, "s");
     if (cfg.serve.enabled) {
       track_server_report(rr, report.server);
       fill_e2e_from_server(rr, report.server);
@@ -847,8 +852,9 @@ int cmd_insitu(const Args& args) {
     apply_run_slo(rr, slo, report.server);
   });
   if (rc != 0) return rc;
-  std::printf("simulated %.1f s in %.2f s; %d frames\n",
-              report.sim_time_reached, report.sim_seconds, report.snapshots);
+  std::printf("simulated %.1f s in %.2f s; %d frames  interframe %.4f s\n",
+              report.sim_time_reached, report.sim_seconds, report.snapshots,
+              report.avg_interframe);
   if (cfg.serve.enabled) print_server_report(report.server);
   return 0;
 }
@@ -859,10 +865,10 @@ int cmd_insitu(const Args& args) {
 // invariants and exits non-zero if any is violated.
 int cmd_serve_steered(const Args& args) {
   stream::SteerLoopConfig cfg;
-  cfg.width = args.num("width", cfg.width);
-  cfg.height = args.num("height", cfg.height);
+  cfg.width = positive_int(args, "width", cfg.width);
+  cfg.height = positive_int(args, "height", cfg.height);
   cfg.frames = args.num("steps", cfg.frames);
-  cfg.render_threads = args.num("render-threads", cfg.render_threads);
+  cfg.render_threads = positive_int(args, "render-threads", cfg.render_threads);
   cfg.seed = std::uint64_t(args.num("seed", 1));
   cfg.live = args.flag("steer-live");
   cfg.cancellation = !args.flag("steer-no-cancel");
@@ -948,8 +954,8 @@ int cmd_serve(const Args& args) {
   stream::ChaosConfig cfg;
   cfg.seed = std::uint64_t(args.num("seed", 1));
   cfg.steps = args.num("steps", 60);
-  cfg.width = args.num("width", 128);
-  cfg.height = args.num("height", 96);
+  cfg.width = positive_int(args, "width", 128);
+  cfg.height = positive_int(args, "height", 96);
   if (args.flag("chaos")) cfg.server.evict_timeout_s = 0.5;
   cfg.population.fast = parse_fleet_flags(args, "", cfg.server);
   if (args.flag("chaos")) {
