@@ -34,15 +34,13 @@ struct CompositeStats {
   std::uint64_t messages = 0;        // point-to-point messages sent
   std::uint64_t bytes_sent = 0;      // total payload sent by this rank
   std::uint64_t pixels_sent = 0;     // pre-compression pixel count
-  double schedule_seconds = 0.0;     // SLIC schedule computation time
-  double composite_seconds = 0.0;    // local compositing work
+  double schedule_seconds = 0.0;     // SLIC schedule: slic_schedule span
 
   void merge(const CompositeStats& o) {
     messages += o.messages;
     bytes_sent += o.bytes_sent;
     pixels_sent += o.pixels_sent;
     schedule_seconds += o.schedule_seconds;
-    composite_seconds += o.composite_seconds;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "compositing/direct_send.hpp"
 
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace qv::compositing {
 
@@ -50,7 +49,6 @@ CompositeResult direct_send(vmpi::Comm& comm,
   }  // ds_extract
 
   // Composite my strip.
-  WallTimer timer;
   ScreenRect my_strip = strip_rows(me, P, width, height);
   img::Image strip_img(my_strip.width(), my_strip.height());
   {
@@ -62,7 +60,6 @@ CompositeResult direct_send(vmpi::Comm& comm,
     trace::Span composite_span("compositing", "ds_composite");
     composite_pieces(pieces, strip_img, my_strip.x0, my_strip.y0);
   }
-  result.stats.composite_seconds = timer.seconds();
 
   // Deliver strips to the root (compressed when requested — image delivery
   // is part of the compositing traffic the paper compresses).

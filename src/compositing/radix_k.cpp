@@ -5,7 +5,6 @@
 
 #include "metrics/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace qv::compositing {
 
@@ -134,13 +133,11 @@ CompositeResult radix_k(vmpi::Comm& comm,
 
   // Single deferred blend over my final region — the identical order-sorted
   // fold direct_send() runs, hence bit-exact output.
-  WallTimer timer;
   img::Image tile(region.width(), region.height());
   {
     trace::Span composite_span("compositing", "radixk_composite");
     composite_pieces(pieces, tile, region.x0, region.y0);
   }
-  result.stats.composite_seconds = timer.seconds();
 
   // Gather the region tiles at the root.
   trace::Span gather_span("compositing", "radixk_gather");

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace qv::compositing {
 
@@ -109,13 +108,12 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   }
 
   // 2. Precompute the view-dependent schedule (identical everywhere).
-  WallTimer sched_timer;
   SlicSchedule sched;
   {
-    trace::Span tsp("compositing", "slic_schedule");
+    trace::Span tsp("compositing", "slic_schedule", -1, /*timed=*/true);
     sched = build_slic_schedule(footprints, P, width, height);
+    result.stats.schedule_seconds = tsp.stop();
   }
-  result.stats.schedule_seconds = sched_timer.seconds();
 
   // 3. Exchange span pixels. The schedule names each span's contributors,
   //    so every rank derives the same send and receive sets from it: I send
@@ -164,7 +162,6 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   std::vector<Piece> done;
   {
   trace::Span composite_span("compositing", "slic_composite");
-  WallTimer comp_timer;
   // Order incoming pieces by (y, x0). A compressed piece arrives shrunk to
   // its active bbox, so it lies inside its span rather than matching it.
   std::sort(incoming.begin(), incoming.end(), [](const Piece& a, const Piece& b) {
@@ -196,7 +193,6 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
                     std::vector<img::Rgba>(span_img.pixels().begin(),
                                            span_img.pixels().end())});
   }
-  result.stats.composite_seconds = comp_timer.seconds();
   }  // slic_composite
 
   // 5. Deliver composited spans to the root (the output processor's role):

@@ -3,14 +3,13 @@
 #include <cstdio>
 #include <utility>
 
-#include "obs/lineage.hpp"
-
 namespace qv::core {
 
-OutputStage::Frame::Frame(int step)
-    : step_(step),
-      span_("pipeline", "frame", step),
-      t0_ns_(obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0) {}
+obs::Stage OutputStage::open(int step, std::uint32_t epoch) const {
+  return obs::Stage({.cat = "pipeline", .name = "frame", .step = step,
+                     .lineage = obs::lineage::Stage::kFrame, .epoch = epoch,
+                     .channel = rank_});
+}
 
 OutputStage::OutputStage(int width, int height, std::string output_dir,
                          const stream::ServeFleetConfig& serve, bool steering,
@@ -22,10 +21,10 @@ OutputStage::OutputStage(int width, int height, std::string output_dir,
   }
 }
 
-void OutputStage::emit(const Frame& frame, std::uint32_t epoch,
-                       const img::Image& image) {
+void OutputStage::emit(obs::Stage& frame, const img::Image& image) {
   using namespace obs::lineage;
-  const int step = frame.step_;
+  const int step = int(frame.sinks().step);
+  const std::uint32_t epoch = frame.sinks().epoch;
   frame_seconds_.push_back(clock_.seconds());
   if (epoch != epoch_) {
     // (step, epoch) is the end-to-end frame id; the encoders stamp it into
@@ -37,9 +36,7 @@ void OutputStage::emit(const Frame& frame, std::uint32_t epoch,
       if (server_) server_->apply_view_change(epoch);
       // epoch == the newest applied request id: this event records
       // request_id -> first-serving-step for the flight recorder.
-      if (enabled())
-        record_wall(Stage::kSteerApply, step, epoch, ChannelKind::kRank,
-                    rank_);
+      record_wall(Stage::kSteerApply, step, epoch, ChannelKind::kRank, rank_);
     } else if (server_) {
       server_->set_epoch(epoch);
     }
@@ -55,10 +52,7 @@ void OutputStage::emit(const Frame& frame, std::uint32_t epoch,
     }
     if (server_) server_->submit(clock_.seconds(), step, out8);
   }
-  if (enabled()) {
-    record_wall(Stage::kFrame, step, epoch, ChannelKind::kRank, rank_,
-                double(trace::now_since_epoch_ns() - frame.t0_ns_) * 1e-9);
-  }
+  frame.stop();
 }
 
 stream::ServerReport OutputStage::finish() {

@@ -13,7 +13,7 @@
 //   * the frame clock, started when the stage is built (right after the
 //     start barrier) and read as emit() begins;
 //   * one to_8bit, the frame_%04d.ppm write, the DeliveryServer submit;
-//   * the kFrame lineage event.
+//   * the frame's pipeline/frame span and kFrame event, one obs::Stage.
 // Single-threaded by construction: only the output rank touches a stage.
 #pragma once
 
@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "img/image.hpp"
+#include "obs/stage.hpp"
 #include "stream/server.hpp"
-#include "trace/trace.hpp"
 #include "util/stats.hpp"
 
 namespace qv::core {
@@ -37,23 +37,14 @@ class OutputStage {
   OutputStage(int width, int height, std::string output_dir,
               const stream::ServeFleetConfig& serve, bool steering, int rank);
 
-  // One frame's output work, opened as soon as its message has arrived: the
-  // "pipeline/frame" trace span (closed at scope exit) and the kFrame
-  // lineage duration (closed by emit) both start here.
-  class Frame {
-   public:
-    explicit Frame(int step);
+  // Open the output work of frame (`step`, `epoch`) as soon as its message
+  // has arrived: one obs::Stage, so the "pipeline/frame" trace span and the
+  // kFrame lineage event cover the same interval.
+  obs::Stage open(int step, std::uint32_t epoch) const;
 
-   private:
-    friend class OutputStage;
-    int step_;
-    trace::Span span_;
-    std::int64_t t0_ns_;
-  };
-
-  // Hand the assembled frame of `frame`'s step, rendered at view `epoch`,
-  // to every sink. Without a sink the frame is only time-stamped.
-  void emit(const Frame& frame, std::uint32_t epoch, const img::Image& image);
+  // Hand the assembled frame to every sink and close `frame`. Without a
+  // sink the frame is only time-stamped.
+  void emit(obs::Stage& frame, const img::Image& image);
 
   // Completion time of each emitted frame, seconds since construction.
   const std::vector<double>& frame_seconds() const { return frame_seconds_; }

@@ -23,6 +23,7 @@
 #include "io/preprocess.hpp"
 #include "lic/lic.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/stage.hpp"
 #include "quake/parallel_solver.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
@@ -50,24 +51,17 @@ struct NackMsg {
   std::int32_t id;  // the NACKed message's header id
 };
 
-// Stats shared across the rank threads (joined before run_ranks returns):
-// the wall-time accumulators. Every event count is a metrics registry
-// counter (see PipeCounters below).
+// What the rank threads share (joined before run_ranks returns). Every
+// event count and stage time is a metrics registry counter instead.
 struct Shared {
   const PipelineConfig& config;
   std::vector<img::Image>* frames_out = nullptr;
   PipelineReport report{};
   std::mutex mu{};
-  double fetch = 0, preprocess = 0, send = 0;
-  double render = 0, composite = 0;
 };
 
-// Registry counters backing PipelineReport. The handles are process-global
-// and monotone; run_ranks snapshots their values before spawning ranks
-// and fills the report from the after-minus-before deltas, so several
-// pipeline runs in one process (benches, tests) never cross-contaminate.
-// io.retries and compositing.bytes_sent are owned by vmpi::File and the
-// compositing algorithms; they are captured here only for the report diff.
+// The registry counters this file adds to as events happen and stages
+// close. run_ranks fills PipelineReport from their change over the run.
 struct PipeCounters {
   metrics::Counter& block_bytes_raw = metrics::counter("pipeline.block_bytes_raw");
   metrics::Counter& block_bytes_sent = metrics::counter("pipeline.block_bytes_sent");
@@ -80,8 +74,9 @@ struct PipeCounters {
   metrics::Counter& resends = metrics::counter("pipeline.resends");
   metrics::Counter& dropped_steps = metrics::counter("pipeline.dropped_steps");
   metrics::Counter& degraded_frames = metrics::counter("pipeline.degraded_frames");
-  metrics::Counter& io_retries = metrics::counter("io.retries");
-  metrics::Counter& composite_bytes = metrics::counter("compositing.bytes_sent");
+  metrics::Counter& fetch_ns = metrics::counter("pipeline.fetch_ns");
+  metrics::Counter& preprocess_ns = metrics::counter("pipeline.preprocess_ns");
+  metrics::Counter& send_ns = metrics::counter("pipeline.send_ns");
 };
 
 PipeCounters& pipe_counters() {
@@ -145,25 +140,6 @@ struct DatasetSource {
 // ---------------------------------------------------------------------------
 // Input processors
 // ---------------------------------------------------------------------------
-
-// An input rank's private wall-time accumulators, flushed to the shared
-// stats on scope exit. The destructor (rather than a plain post-loop flush)
-// matters under fault injection: a RankKilled unwind must still deliver the
-// completed steps' times into the report, or the averages divide by the
-// wrong counts. Event counts need no such care — they go straight to the
-// registry's atomic counters as they happen.
-struct InputStats {
-  Shared& sh;
-  double fetch = 0, preprocess = 0, send = 0;
-
-  explicit InputStats(Shared& shared) : sh(shared) {}
-  ~InputStats() {
-    std::lock_guard lk(sh.mu);
-    sh.fetch += fetch;
-    sh.preprocess += preprocess;
-    sh.send += send;
-  }
-};
 
 // The node records of one step, plus its neighbours' when enhancing: the
 // inputs of the §4.2 temporal enhancement.
@@ -418,8 +394,7 @@ void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
   InputPlan plan = make_input_plan(src, scene, group, scene.owners);
   int cur_epoch = 0;
   std::optional<lic::Quadtree> qt;
-
-  InputStats acc(sh);
+  PipeCounters& pc = pipe_counters();
   // Quantization range of every step this rank shipped: NACK regeneration
   // must reuse it to be bit-identical when the range was auto-derived.
   std::map<int, std::pair<float, float>> sent_range;
@@ -462,12 +437,14 @@ void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
                              ctl.await_assignment(cur_epoch));
     }
 
-    WallTimer t;
+    // Each stage adds its time to its counter as it closes, so a RankKilled
+    // unwind keeps every completed step's times.
     StepWindow w;
     bool fetched = true;
-    pipe_counters().input_attempted.add();
+    pc.input_attempted.add();
     {
-      trace::Span fetch_span("pipeline", "fetch", s);
+      obs::Stage fetch(
+          {.cat = "pipeline", .name = "fetch", .step = s, .ns = &pc.fetch_ns});
       try {
         w = read_window(src, s, [&](int step) {
           return plan.reader.read(world, src, step);
@@ -478,8 +455,6 @@ void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
         fetched = false;
       }
     }
-    acc.fetch += t.seconds();
-    t.reset();
     if (!fetched) {
       // One skip marker to each renderer expecting data from me, so nobody
       // blocks on data that will never come; they will repeat the previous
@@ -490,24 +465,23 @@ void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
     }
     io::QuantizedField q;
     {
-      trace::Span prep_span("pipeline", "preprocess", s);
+      obs::Stage prep({.cat = "pipeline", .name = "preprocess", .step = s,
+                       .ns = &pc.preprocess_ns});
       q = io::quantize(make_scalar(src, w), cfg.render.value_lo,
                        cfg.render.value_hi);
       sent_range[s] = {q.lo, q.hi};
       if (cfg.lic_overlay) input_lic(world, cfg, scene.mesh, s, w.cur, qt);
     }
-    acc.preprocess += t.seconds();
-    t.reset();
     {
-      trace::Span send_span("pipeline", "send_blocks", s);
+      obs::Stage send({.cat = "pipeline", .name = "send_blocks", .step = s,
+                       .ns = &pc.send_ns});
       std::uint64_t raw = 0, sent = 0;
       send_block_msgs(world, I, s, q, plan.msgs, cfg.compress_blocks, &raw,
                       &sent);
-      pipe_counters().block_bytes_raw.add(raw);
-      pipe_counters().block_bytes_sent.add(sent);
+      pc.block_bytes_raw.add(raw);
+      pc.block_bytes_sent.add(sent);
     }
-    acc.send += t.seconds();
-    pipe_counters().input_completed.add();
+    pc.input_completed.add();
   }
   ctl.drain_until_done(cfg.render_procs);
 }
@@ -551,7 +525,6 @@ void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
                     {cfg.compositor, cfg.composite_k, cfg.compress_compositing},
                     world, render_comm);
 
-  double render_time = 0, composite_time = 0;
   const auto timeout = std::chrono::milliseconds(
       cfg.recv_timeout_ms > 0 ? cfg.recv_timeout_ms : 0);
   // Measured per-block costs of the current epoch (dynamic redistribution).
@@ -637,11 +610,9 @@ void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
     // Steering edits fold in at the step boundary: the first step rendered
     // at a new epoch picks up the edited camera and TF window everywhere.
     // Per-block costs are measured only for the rebalancer.
-    const auto times = stage.run(s, assign, step_degraded, rebalancing);
-    render_time += times.render_s;
-    composite_time += times.composite_s;
-    for (std::size_t i = 0; i < times.block_s.size(); ++i)
-      epoch_costs[int(assign.owned[i])] += times.block_s[i];
+    const auto block_s = stage.run(s, assign, step_degraded, rebalancing);
+    for (std::size_t i = 0; i < block_s.size(); ++i)
+      epoch_costs[int(assign.owned[i])] += block_s[i];
 
     // --- fine-grain dynamic load redistribution (§7) -----------------------
     if (rebalancing && s + 1 < scene.num_steps &&
@@ -713,9 +684,6 @@ void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
   for (int ip = 0; ip < cfg.total_input_procs(); ++ip)
     world.isend(ip, kTagDone, {});
   pipe_counters().render_steps.add(std::uint64_t(scene.num_steps));
-  std::lock_guard lk(sh.mu);
-  sh.render += render_time;
-  sh.composite += composite_time;
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +702,7 @@ void run_output(Shared& sh, const Scene& scene, vmpi::Comm& world) {
       trace::Span wait_span("pipeline", "wait_frame", s);
       world.recv(vmpi::kAnySource, tag_frame(s), msg);
     }
-    const OutputStage::Frame scope(s);
+    obs::Stage scope = out.open(s, std::uint32_t(scene.view.epoch_of(s)));
     img::Image frame(cfg.width, cfg.height);
     auto view = parse_frame_msg(msg, frame.pixels().size());
     if (!view) throw std::runtime_error("pipeline: bad frame message");
@@ -760,7 +728,7 @@ void run_output(Shared& sh, const Scene& scene, vmpi::Comm& world) {
         frame = std::move(ground);
       }
     }
-    out.emit(scope, std::uint32_t(scene.view.epoch_of(s)), frame);
+    out.emit(scope, frame);
     if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
   }
   pipe_counters().degraded_frames.add(degraded_steps.size());
@@ -797,26 +765,27 @@ void run_sim(Shared& sh, const InsituConfig& icfg, const Scene& scene,
                                  make_skip_block_msg(step));
                    }};
 
+  PipeCounters& pc = pipe_counters();
   double sim_seconds = 0.0;
   for (int snap = 0; snap < scene.num_steps; ++snap) {
-    WallTimer t;
     {
-      trace::Span sim_span("pipeline", "sim_step", snap);
+      trace::Span sim_span("pipeline", "sim_step", snap, /*timed=*/true);
       for (int k = 0; k < icfg.steps_per_snapshot; ++k) solver.step();
+      sim_seconds += sim_span.stop();
     }
-    sim_seconds += t.seconds();
 
     if (!streamer) continue;  // only the sim group's root streams
     {
-      trace::Span stream_span("pipeline", "send_blocks", snap);
+      obs::Stage send({.cat = "pipeline", .name = "send_blocks", .step = snap,
+                       .ns = &pc.send_ns});
       auto scalar = io::derive_scalar(solver.velocity_interleaved(), 3,
                                       cfg.variable);
       auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
       std::uint64_t raw = 0, sent = 0;
       send_block_msgs(world, cfg.total_input_procs(), snap, q, msgs,
                       cfg.compress_blocks, &raw, &sent);
-      pipe_counters().block_bytes_raw.add(raw);
-      pipe_counters().block_bytes_sent.add(sent);
+      pc.block_bytes_raw.add(raw);
+      pc.block_bytes_sent.add(sent);
     }
     // Answer the NACKs that came in meanwhile without holding up the solver.
     ctl.poll();
@@ -945,51 +914,43 @@ PipelineReport run_ranks(const PipelineConfig& config,
       break;
   }
 
-  // Baseline values of the registry counters this report is built from;
-  // everything below runs single-threaded before/after the rank threads.
-  PipeCounters& pc = pipe_counters();
-  const std::uint64_t base_raw = pc.block_bytes_raw.value();
-  const std::uint64_t base_sent = pc.block_bytes_sent.value();
-  const std::uint64_t base_attempted = pc.input_attempted.value();
-  const std::uint64_t base_completed = pc.input_completed.value();
-  const std::uint64_t base_render_steps = pc.render_steps.value();
-  const std::uint64_t base_crc = pc.crc_failures.value();
-  const std::uint64_t base_resends = pc.resends.value();
-  const std::uint64_t base_dropped = pc.dropped_steps.value();
-  const std::uint64_t base_degraded = pc.degraded_frames.value();
-  const std::uint64_t base_retries = pc.io_retries.value();
-  const std::uint64_t base_composite_bytes = pc.composite_bytes.value();
-
+  // The report is the registry's change over the run, so several runs in
+  // one process (benches, tests) never cross-contaminate. Both snapshots
+  // are taken while no rank thread runs.
+  const metrics::Snapshot before = metrics::collect();
   vmpi::Runtime::run(
       config.world_size(), [&](vmpi::Comm& world) { rank(sh, world); },
       config.fault_plan);
+  const metrics::Snapshot after = metrics::collect();
+  const auto delta = [&](const char* name) {
+    return after.counter_or(name) - before.counter_or(name);
+  };
 
   PipelineReport& rep = sh.report;
-  const int render_steps_total = int(pc.render_steps.value() - base_render_steps);
-  rep.steps =
-      render_steps_total > 0 ? render_steps_total / config.render_procs : 0;
-  rep.input_steps_attempted = int(pc.input_attempted.value() - base_attempted);
-  rep.input_steps_completed = int(pc.input_completed.value() - base_completed);
+  rep.steps = int(delta("pipeline.render_steps")) / config.render_procs;
+  rep.input_steps_attempted = int(delta("pipeline.input_steps_attempted"));
+  rep.input_steps_completed = int(delta("pipeline.input_steps_completed"));
   // Fetch runs on every *attempted* step; preprocess and send only on steps
   // that completed. Dividing all three by the same count used to deflate the
   // per-step averages of degraded runs (dropped steps padded the
   // denominator with stages that never executed).
-  int fetch_steps = std::max(rep.input_steps_attempted, 1);
-  int done_steps = std::max(rep.input_steps_completed, 1);
-  int rn_steps = std::max(rep.steps, 1);
-  rep.avg_fetch = sh.fetch / fetch_steps;
-  rep.avg_preprocess = sh.preprocess / done_steps;
-  rep.avg_send = sh.send / done_steps;
-  rep.avg_render = sh.render / (rn_steps * config.render_procs);
-  rep.avg_composite = sh.composite / (rn_steps * config.render_procs);
-  rep.composite_bytes = pc.composite_bytes.value() - base_composite_bytes;
-  rep.block_bytes_raw = pc.block_bytes_raw.value() - base_raw;
-  rep.block_bytes_sent = pc.block_bytes_sent.value() - base_sent;
-  rep.retries = pc.io_retries.value() - base_retries;
-  rep.corrupt_blocks_detected = pc.crc_failures.value() - base_crc;
-  rep.resend_requests = pc.resends.value() - base_resends;
-  rep.dropped_steps = int(pc.dropped_steps.value() - base_dropped);
-  rep.degraded_frames = int(pc.degraded_frames.value() - base_degraded);
+  const auto avg = [&](const char* ns, int steps) {
+    return double(delta(ns)) * 1e-9 / std::max(steps, 1);
+  };
+  rep.avg_fetch = avg("pipeline.fetch_ns", rep.input_steps_attempted);
+  rep.avg_preprocess = avg("pipeline.preprocess_ns", rep.input_steps_completed);
+  rep.avg_send = avg("pipeline.send_ns", rep.input_steps_completed);
+  rep.avg_render = avg("pipeline.render_ns", rep.steps * config.render_procs);
+  rep.avg_composite =
+      avg("pipeline.composite_ns", rep.steps * config.render_procs);
+  rep.composite_bytes = delta("compositing.bytes_sent");
+  rep.block_bytes_raw = delta("pipeline.block_bytes_raw");
+  rep.block_bytes_sent = delta("pipeline.block_bytes_sent");
+  rep.retries = delta("io.retries");
+  rep.corrupt_blocks_detected = delta("pipeline.crc_failures");
+  rep.resend_requests = delta("pipeline.resends");
+  rep.dropped_steps = int(delta("pipeline.dropped_steps"));
+  rep.degraded_frames = int(delta("pipeline.degraded_frames"));
   rep.avg_interframe = steady_interframe(rep.frame_seconds);
   return rep;
 }

@@ -48,7 +48,9 @@ struct PipelineReport {
   std::vector<double> frame_seconds;
   double avg_interframe = 0.0;  // steady-state (second half) mean
 
-  // Per-step averages across the whole run.
+  // Per-step averages across the whole run (render and composite per
+  // renderer step): each stage's registry counter pipeline.<stage>_ns over
+  // the run, exactly the summed durations of the stage's pipeline spans.
   double avg_fetch = 0.0;       // input: disk time
   double avg_preprocess = 0.0;  // input: magnitude/quantize/enhance/LIC
   double avg_send = 0.0;        // input: shipping blocks

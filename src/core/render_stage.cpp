@@ -9,7 +9,7 @@
 #include "compositing/slic.hpp"
 #include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
-#include "obs/lineage.hpp"
+#include "obs/stage.hpp"
 #include "render/order.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
@@ -116,16 +116,20 @@ void RenderStage::refresh_view(int step) {
     rank_of_[order[i]] = std::uint32_t(i);
 }
 
-RenderStage::Times RenderStage::run(int step, RenderAssignment& assign,
-                                    bool degraded, bool block_seconds) {
-  using namespace obs::lineage;
+std::span<const double> RenderStage::run(int step, RenderAssignment& assign,
+                                         bool degraded, bool block_seconds) {
+  static metrics::Counter& render_ns = metrics::counter("pipeline.render_ns");
+  static metrics::Counter& composite_ns =
+      metrics::counter("pipeline.composite_ns");
   refresh_view(step);
   const std::size_t n = assign.owned.size();
-  Times times;
-  WallTimer t;
+  const auto epoch = std::uint32_t(view_.epoch_of(step));
   std::vector<render::PartialImage> partials;
   {
-    trace::Span render_span("pipeline", "render", step);
+    obs::Stage render({.cat = "pipeline", .name = "render", .step = step,
+                       .ns = &render_ns,
+                       .lineage = obs::lineage::Stage::kRender,
+                       .epoch = epoch, .channel = world_.rank()});
     std::vector<std::uint32_t> orders(n);
     block_s_.assign(block_seconds ? n : 0, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -138,15 +142,13 @@ RenderStage::Times RenderStage::run(int step, RenderAssignment& assign,
         camera_, rc_, assign.rblocks, orders, &pool_, render::kRenderTile,
         nullptr, block_seconds ? block_s_.data() : nullptr);
   }
-  times.render_s = t.seconds();
-  if (enabled())
-    record_wall(Stage::kRender, step, std::uint32_t(view_.epoch_of(step)),
-                ChannelKind::kRank, world_.rank(), times.render_s);
-  t.reset();
 
   compositing::CompositeResult comp;
   {
-    trace::Span composite_span("pipeline", "composite", step);
+    obs::Stage composite({.cat = "pipeline", .name = "composite", .step = step,
+                          .ns = &composite_ns,
+                          .lineage = obs::lineage::Stage::kComposite,
+                          .epoch = epoch, .channel = world_.rank()});
     const int w = view_.width, h = view_.height;
     const bool c = composite_.compress;
     if (composite_.algo == Compositor::kSlic) {
@@ -158,17 +160,12 @@ RenderStage::Times RenderStage::run(int step, RenderAssignment& assign,
                                   c, 0);
     }
   }
-  times.composite_s = t.seconds();
-  if (enabled())
-    record_wall(Stage::kComposite, step, std::uint32_t(view_.epoch_of(step)),
-                ChannelKind::kRank, world_.rank(), times.composite_s);
 
   if (render_comm_.rank() == 0) {
     world_.isend(world_.size() - 1, tag_frame(step),
                  make_frame_msg(step, degraded, comp.image.pixels()));
   }
-  times.block_s = block_s_;
-  return times;
+  return block_s_;
 }
 
 }  // namespace qv::core

@@ -79,20 +79,14 @@ class RenderStage {
               int threads, const CompositeMode& composite, vmpi::Comm& world,
               vmpi::Comm& render_comm);
 
-  struct Times {
-    double render_s = 0.0, composite_s = 0.0;
-    // Per owned block, when asked: value install plus the summed wall time
-    // of the block's render tasks (the rebalancer's cost signal). Valid
-    // until the next run().
-    std::span<const double> block_s;
-  };
-
   // One step: install `assign`'s values and raycast them at the step's
-  // view (span pipeline/render), composite (span pipeline/composite), one
-  // lineage event each, and on render rank 0 send the frame, flagged
-  // `degraded`, to the output rank.
-  Times run(int step, RenderAssignment& assign, bool degraded,
-            bool block_seconds);
+  // view, then composite, each one obs::Stage (span, pipeline.<stage>_ns
+  // counter, lineage event), and on render rank 0 send the frame, flagged
+  // `degraded`, to the output rank. Returns, per owned block when
+  // `block_seconds`, value install plus the summed wall time of the
+  // block's render tasks (the rebalancer's cost signal); else empty.
+  std::span<const double> run(int step, RenderAssignment& assign,
+                              bool degraded, bool block_seconds);
 
  private:
   void refresh_view(int step);

@@ -173,11 +173,21 @@ DatasetReader::DatasetReader(std::string dir) : dir_(std::move(dir)) {
   fine_tree_ = read_octree(dir_ + "/octree.bin");
 }
 
+std::size_t DatasetReader::level_index(int level) const {
+  if (level < meta_.coarsest_level || level > meta_.finest_level)
+    throw std::out_of_range("dataset: level " + std::to_string(level) +
+                            " is outside the stored levels " +
+                            std::to_string(meta_.coarsest_level) + ".." +
+                            std::to_string(meta_.finest_level));
+  return std::size_t(level - meta_.coarsest_level);
+}
+
 const mesh::HexMesh& DatasetReader::level_mesh(int level) {
+  level_index(level);
   auto it = meshes_.find(level);
   if (it == meshes_.end()) {
     auto m = std::make_unique<mesh::HexMesh>(
-        level >= meta_.finest_level ? fine_tree_ : fine_tree_.clipped(level));
+        level == meta_.finest_level ? fine_tree_ : fine_tree_.clipped(level));
     it = meshes_.emplace(level, std::move(m)).first;
   }
   return *it->second;
@@ -185,16 +195,13 @@ const mesh::HexMesh& DatasetReader::level_mesh(int level) {
 
 std::uint64_t DatasetReader::level_offset_bytes(int level) const {
   std::uint64_t off = 0;
-  for (int l = meta_.coarsest_level; l < level; ++l) {
-    off += meta_.level_node_count[std::size_t(l - meta_.coarsest_level)] *
-           node_record_bytes();
-  }
+  for (std::size_t i = 0; i < level_index(level); ++i)
+    off += meta_.level_node_count[i] * node_record_bytes();
   return off;
 }
 
 std::uint64_t DatasetReader::level_bytes(int level) const {
-  return meta_.level_node_count[std::size_t(level - meta_.coarsest_level)] *
-         node_record_bytes();
+  return meta_.level_node_count[level_index(level)] * node_record_bytes();
 }
 
 std::string DatasetReader::step_path(int step) const {

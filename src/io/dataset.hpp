@@ -79,6 +79,8 @@ class DatasetReader {
   const DatasetMeta& meta() const { return meta_; }
   const mesh::LinearOctree& fine_octree() const { return fine_tree_; }
 
+  // The three level accessors throw std::out_of_range, naming the level
+  // and the stored range, for a level outside [coarsest, finest].
   // Lazily built, cached. Thread-compatible only (build before sharing).
   const mesh::HexMesh& level_mesh(int level);
 
@@ -92,6 +94,8 @@ class DatasetReader {
   std::string step_path(int step) const;
 
  private:
+  std::size_t level_index(int level) const;  // in meta().level_node_count
+
   std::string dir_;
   DatasetMeta meta_;
   mesh::LinearOctree fine_tree_;

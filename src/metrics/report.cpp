@@ -410,12 +410,15 @@ GateResult compare_reports(const RunReport& baseline, const RunReport& current,
     } else {
       d.current = cur->value;
       d.rel_change = d.base != 0.0 ? (d.current - d.base) / d.base : 0.0;
-      // Absolute floor: sub-millisecond timings (and zero-valued counts)
-      // regress only on meaningful absolute movement, not scheduler jitter
-      // amplified by a tiny denominator.
+      // Byte and count rows are deterministic: any increase regresses. The
+      // rest get the threshold, and seconds an absolute floor too, so tiny
+      // timings regress only on real movement, not scheduler jitter.
+      const bool exact =
+          base.unit == "bytes" || base.unit == "count" || base.unit == "MB";
       const double abs_floor = base.unit == "s" ? 2e-3 : 0.0;
-      d.regressed = d.current > d.base * (1.0 + threshold) &&
-                    d.current - d.base > abs_floor;
+      d.regressed = exact ? d.current > d.base
+                          : d.current > d.base * (1.0 + threshold) &&
+                                d.current - d.base > abs_floor;
     }
     if (d.regressed) g.ok = false;
     g.rows.push_back(std::move(d));

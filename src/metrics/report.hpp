@@ -112,7 +112,7 @@ struct MetricDelta {
   double base = 0.0;
   double current = 0.0;
   double rel_change = 0.0;  // (current - base) / base; 0 when base == 0
-  bool regressed = false;   // current worse than base by more than threshold
+  bool regressed = false;   // current worse than base beyond the gate's bound
   bool missing = false;     // tracked in baseline, absent from current
 };
 
@@ -123,11 +123,12 @@ struct GateResult {
 };
 
 // Compare every baseline-tracked metric against the current report. All
-// tracked metrics are lower-is-better; a regression is
-// current > base * (1 + threshold), with an absolute floor so metrics near
-// zero (e.g. a 2 ms stage) don't flap on scheduler noise. A tracked metric
-// missing from the current report fails the gate (renames must update the
-// baseline deliberately).
+// tracked metrics are lower-is-better. A row in bytes, count or MB is
+// deterministic and regresses on any increase; any other row regresses at
+// current > base * (1 + threshold), and a row in seconds only past an
+// absolute floor too, so a 2 ms stage doesn't flap on scheduler noise. A
+// tracked metric missing from the current report fails the gate (renames
+// must update the baseline deliberately).
 GateResult compare_reports(const RunReport& baseline, const RunReport& current,
                            double threshold = 0.15);
 std::string format_gate_table(const GateResult& g);

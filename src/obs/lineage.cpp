@@ -174,34 +174,18 @@ const std::string& dump_path() {
 }
 
 void record_wall(Stage stage, std::int64_t step, std::uint32_t epoch,
-                 ChannelKind kind, int channel, double dur_s) noexcept {
-  if (!enabled()) return;
-  Event ev;
-  ev.step = step;
-  ev.epoch = epoch;
-  ev.stage = stage;
-  ev.domain = Domain::kWall;
-  ev.channel_kind = kind;
-  ev.channel = channel;
-  ev.t_s = double(trace::now_since_epoch_ns()) * 1e-9 - dur_s;
-  ev.dur_s = dur_s;
-  detail::record_slow(ev);
+                 ChannelKind kind, int channel) noexcept {
+  if (enabled())
+    detail::record_slow({step, epoch, stage, Domain::kWall, kind, channel,
+                         double(trace::now_since_epoch_ns()) * 1e-9});
 }
 
 void record_virtual(Stage stage, std::int64_t step, std::uint32_t epoch,
                     ChannelKind kind, int channel, double t_s,
                     double dur_s) noexcept {
-  if (!enabled()) return;
-  Event ev;
-  ev.step = step;
-  ev.epoch = epoch;
-  ev.stage = stage;
-  ev.domain = Domain::kVirtual;
-  ev.channel_kind = kind;
-  ev.channel = channel;
-  ev.t_s = t_s;
-  ev.dur_s = dur_s;
-  detail::record_slow(ev);
+  if (enabled())
+    detail::record_slow(
+        {step, epoch, stage, Domain::kVirtual, kind, channel, t_s, dur_s});
 }
 
 std::optional<double> delta_s(const Event& a, const Event& b) noexcept {

@@ -100,11 +100,11 @@ inline void record(const Event& ev) noexcept {
   detail::record_slow(ev);
 }
 
-// Wall-domain convenience: stamps t_s from the trace clock, backdated by
-// dur_s so the event covers [now - dur, now] — callers time a stage with a
-// WallTimer and record on completion.
+// Wall-domain point event (kSteerApply), stamped now on the trace clock. A
+// timed stage records its event through obs::Stage (obs/stage.hpp), which
+// reuses its trace span's own start and duration.
 void record_wall(Stage stage, std::int64_t step, std::uint32_t epoch,
-                 ChannelKind kind, int channel, double dur_s = 0.0) noexcept;
+                 ChannelKind kind, int channel) noexcept;
 
 // Virtual-domain convenience: the caller owns the clock, so t_s (the stage
 // START on that clock) is explicit.

@@ -6,7 +6,6 @@
 #include "metrics/metrics.hpp"
 #include "render/order.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace qv::render {
 
@@ -232,14 +231,13 @@ std::optional<std::vector<PartialImage>> render_blocks_cancellable(
     // in the race window.
     if (cancel && cancel->requested()) return;
     const Task& tk = tasks[ti];
-    trace::Span tsp("render", "render_tile", orders[tk.block]);
-    WallTimer timer;
+    trace::Span tsp("render", "render_tile", orders[tk.block],
+                    per_block_seconds != nullptr);
     rc.render_region(camera, blocks[tk.block], tk.tile, out[tk.block],
                      empty[tk.block].empty() ? nullptr
                                              : empty[tk.block].data(),
                      &wstats[std::size_t(w)]);
-    if (per_block_seconds)
-      wsecs[std::size_t(w)][tk.block] += timer.seconds();
+    if (per_block_seconds) wsecs[std::size_t(w)][tk.block] += tsp.stop();
   };
 
   if (pool && pool->thread_count() > 1) {

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "metrics/metrics.hpp"
-#include "obs/lineage.hpp"
+#include "obs/stage.hpp"
 #include "trace/trace.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -329,18 +329,15 @@ void DeliveryServer::handle_batch(Client& c,
       }
     }
     if (cfg_.verify_clients) {
-      const bool timed = metrics::enabled() || obs::lineage::enabled();
-      const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
+      // Per-client stages take no trace span: those of a large fleet would
+      // fill the trace buffers.
+      obs::Stage decode({.step = d.step, .histogram = &m.e2e_decode,
+                         .lineage = obs::lineage::Stage::kDecode,
+                         .epoch = frame_epoch,
+                         .kind = obs::lineage::ChannelKind::kClient,
+                         .channel = c.rep.id});
       auto frame = c.viewer.decode(d.wire);
-      const double decode_s =
-          timed ? double(trace::now_since_epoch_ns() - t0) * 1e-9 : 0.0;
-      if (metrics::enabled()) m.e2e_decode.observe(decode_s);
-      if (obs::lineage::enabled()) {
-        obs::lineage::record_wall(obs::lineage::Stage::kDecode, d.step,
-                                  frame_epoch,
-                                  obs::lineage::ChannelKind::kClient,
-                                  c.rep.id, decode_s);
-      }
+      decode.stop();
       if (!frame) {
         ++c.rep.decode_failures;
         ++rep_.decode_failures;
@@ -480,18 +477,13 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
       // Encode stage of the e2e waterfall: the wall cost of materializing
       // this client's wire bytes (an actual encode on first demand, a
       // near-free bank reuse after — the histogram shows both modes).
-      const bool timed = metrics::enabled() || obs::lineage::enabled();
-      const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
+      obs::Stage encode({.step = step, .histogram = &m.e2e_encode,
+                         .lineage = obs::lineage::Stage::kEncode,
+                         .epoch = epoch_,
+                         .kind = obs::lineage::ChannelKind::kClient,
+                         .channel = c.rep.id});
       wire = key ? bank_.key(tier) : bank_.delta(tier);
-      if (timed) {
-        const double enc_s = double(trace::now_since_epoch_ns() - t0) * 1e-9;
-        if (metrics::enabled()) m.e2e_encode.observe(enc_s);
-        if (obs::lineage::enabled()) {
-          obs::lineage::record_wall(obs::lineage::Stage::kEncode, step, epoch_,
-                                    obs::lineage::ChannelKind::kClient,
-                                    c.rep.id, enc_s);
-        }
-      }
+      encode.stop();
       // The byte budget is the hard isolation boundary: a client that can't
       // take this frame within budget loses THIS frame only.
       if (c.link->in_flight_bytes() + wire->size() > cfg_.queue_budget_bytes)

@@ -125,54 +125,36 @@ std::vector<ThreadTrace> collect() {
   return out;
 }
 
-Span::Span(const char* cat, const char* name, std::int64_t arg) noexcept {
-  // A span is live when either observability pillar wants it: the trace
-  // buffer (timeline) and/or the metrics registry (duration histogram).
-  if (!enabled() && !metrics::enabled()) return;
-  live_ = true;
-  cat_ = cat;
-  name_ = name;
-  arg_ = arg;
-  t0_ns_ = now_ns();
+Span::Span(const char* cat, const char* name, std::int64_t arg,
+           bool timed) noexcept
+    : cat_(cat), name_(name), arg_(arg),
+      // The caller wants the duration, or the trace buffer (timeline) and/or
+      // the metrics registry (duration histogram) record the span.
+      open_(timed || (cat && (enabled() || metrics::enabled()))) {
+  if (open_) t0_ns_ = now_since_epoch_ns();
 }
 
-Span::~Span() {
-  if (!live_) return;
-  const std::int64_t t1 = now_ns();
-  if (metrics::enabled()) {
-    metrics::span_histogram(cat_, name_).observe(double(t1 - t0_ns_) * 1e-9);
+double Span::stop() noexcept {
+  if (open_) {
+    open_ = false;
+    dur_ns_ = now_since_epoch_ns() - t0_ns_;
+    if (cat_ && metrics::enabled())
+      metrics::span_histogram(cat_, name_).observe(double(dur_ns_) * 1e-9);
+    if (cat_ && enabled())
+      push_event({t0_ns_, dur_ns_, cat_, name_, arg_, EventKind::kSpan});
   }
-  if (!enabled()) return;
-  Event ev;
-  ev.ts_ns = t0_ns_ - g_epoch_ns.load(std::memory_order_relaxed);
-  ev.dur_ns = t1 - t0_ns_;
-  ev.cat = cat_;
-  ev.name = name_;
-  ev.arg = arg_;
-  ev.kind = EventKind::kSpan;
-  push_event(ev);
+  return double(dur_ns_) * 1e-9;
 }
 
 void counter(const char* cat, const char* name, std::int64_t value) noexcept {
-  if (!enabled()) return;
-  Event ev;
-  ev.ts_ns = now_ns() - g_epoch_ns.load(std::memory_order_relaxed);
-  ev.dur_ns = value;
-  ev.cat = cat;
-  ev.name = name;
-  ev.kind = EventKind::kCounter;
-  push_event(ev);
+  if (enabled())
+    push_event({now_since_epoch_ns(), value, cat, name, -1,
+                EventKind::kCounter});
 }
 
 void instant(const char* cat, const char* name, std::int64_t arg) noexcept {
-  if (!enabled()) return;
-  Event ev;
-  ev.ts_ns = now_ns() - g_epoch_ns.load(std::memory_order_relaxed);
-  ev.cat = cat;
-  ev.name = name;
-  ev.arg = arg;
-  ev.kind = EventKind::kInstant;
-  push_event(ev);
+  if (enabled())
+    push_event({now_since_epoch_ns(), 0, cat, name, arg, EventKind::kInstant});
 }
 
 namespace {

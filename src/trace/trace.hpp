@@ -8,11 +8,12 @@
 // read them afterwards (thread join provides the happens-before edge).
 //
 // Overhead contract: when both tracing and metrics are disabled (the
-// default) a Span costs two relaxed atomic loads in the constructor and one
-// in the destructor — no clock reads, no allocation.  When enabled, a span
-// is two steady_clock reads plus one vector push_back into a pre-reserved
-// buffer; events past the per-thread capacity are counted as dropped rather
-// than grown, so steady-state cost is bounded.
+// default) a Span costs two relaxed atomic loads — no clock reads, no
+// allocation — unless it is timed: then it reads the clock at open and
+// close, as the WallTimer it replaces did.  When enabled, a span is two
+// steady_clock reads plus one vector push_back into a pre-reserved buffer;
+// events past the per-thread capacity are counted as dropped rather than
+// grown, so steady-state cost is bounded.
 //
 // Spans also feed src/metrics: while metrics::enabled(), every span records
 // its duration into the "span.<cat>.<name>" histogram, with or without
@@ -85,19 +86,31 @@ void set_thread(int tid, std::string name);
 std::vector<ThreadTrace> collect();
 
 // --- recording ------------------------------------------------------------
+// One clock read at open and one at close feed the trace event, the span
+// histogram and stop(). A null `cat` records nothing: the span is then only
+// that clock (obs::Stage's span-less stages).
 class Span {
  public:
-  Span(const char* cat, const char* name, std::int64_t arg = -1) noexcept;
-  ~Span();
+  Span(const char* cat, const char* name, std::int64_t arg = -1,
+       bool timed = false) noexcept;
+  ~Span() { stop(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  // Closes the span on the first call; its duration in seconds, 0 when the
+  // clock was never read.
+  double stop() noexcept;
+  bool open() const noexcept { return open_; }  // read at open, not closed
+  std::int64_t start_ns() const noexcept { return t0_ns_; }  // trace clock
+  std::int64_t dur_ns() const noexcept { return dur_ns_; }
+
  private:
   std::int64_t t0_ns_ = 0;
-  const char* cat_ = nullptr;
-  const char* name_ = nullptr;
-  std::int64_t arg_ = -1;
-  bool live_ = false;
+  std::int64_t dur_ns_ = 0;
+  const char* cat_;
+  const char* name_;
+  std::int64_t arg_;
+  bool open_;
 };
 
 void counter(const char* cat, const char* name, std::int64_t value) noexcept;

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "quake/synthetic.hpp"
 #include "util/rng.hpp"
@@ -147,6 +148,40 @@ TEST(Dataset, StepSizeMismatchThrows) {
   DatasetWriter writer(dir.str(), fine, 2, 3, 0.1f);
   std::vector<float> wrong(10);
   EXPECT_THROW(writer.write_step(wrong), std::runtime_error);
+}
+
+// A level the dataset does not store has no entry in level_node_count:
+// every level accessor refuses it, naming the level and the stored range.
+TEST(Dataset, ReaderRejectsLevelsOutsideTheStoredRange) {
+  TempDir dir("qv_ds_levels");
+  auto fine = small_mesh();
+  DatasetWriter writer(dir.str(), fine, 2, 3, 0.1f);
+  writer.write_step(quake::SyntheticQuake{}.sample_nodes(fine, 1.0f));
+  writer.finish();
+
+  DatasetReader reader(dir.str());
+  const int finest = reader.meta().finest_level;
+  const std::string range = "levels 2.." + std::to_string(finest);
+  for (int level : {1, finest + 1}) {
+    const std::vector<std::function<void()>> calls = {
+        [&] { (void)reader.level_mesh(level); },
+        [&] { (void)reader.level_bytes(level); },
+        [&] { (void)reader.level_offset_bytes(level); }};
+    for (const auto& call : calls) {
+      try {
+        call();
+        ADD_FAILURE() << "level " << level << " was accepted";
+      } catch (const std::out_of_range& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("level " + std::to_string(level)),
+                  std::string::npos) << what;
+        EXPECT_NE(what.find(range), std::string::npos) << what;
+      }
+    }
+  }
+  // Both ends of the stored range stay readable.
+  EXPECT_EQ(reader.level_offset_bytes(2), 0u);
+  EXPECT_EQ(reader.level_mesh(finest).node_count(), fine.node_count());
 }
 
 TEST(Dataset, MissingDirectoryThrows) {

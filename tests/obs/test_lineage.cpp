@@ -9,13 +9,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "metrics/json.hpp"
+#include "metrics/metrics.hpp"
+#include "obs/stage.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/file.hpp"
@@ -149,10 +153,40 @@ TEST_F(LineageTest, DumpNowWithoutAPathReportsFailure) {
   EXPECT_FALSE(dump_now("disabled"));  // disabled recorder never dumps
 }
 
+// --- obs::Stage -------------------------------------------------------------
+
+// A stage with nothing to feed reads no clock; one with a counter times
+// regardless of the switches, and its counter, its stop() and its lineage
+// event carry the same pair of clock reads.
+TEST_F(LineageTest, StageFeedsEverySinkFromOnePairOfClockReads) {
+  disable();
+  obs::Stage idle({.cat = "test", .name = "idle"});
+  EXPECT_EQ(idle.stop(), 0.0);  // tracing, metrics and lineage are off
+  enable();
+  metrics::Counter& ns = metrics::counter("test.stage_ns");
+  const std::uint64_t before = ns.value();
+  obs::Stage stage({.step = 7, .ns = &ns, .lineage = Stage::kEncode,
+                    .epoch = 2, .kind = Kind::kClient, .channel = 4});
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  const double s = stage.stop();
+  EXPECT_GT(s, 0.0);
+  EXPECT_EQ(stage.stop(), s);  // closes once
+  EXPECT_EQ(ns.value() - before, std::uint64_t(std::llround(s * 1e9)));
+  const auto dumps = collect();
+  ASSERT_EQ(dumps.size(), 1u);
+  ASSERT_EQ(dumps[0].events.size(), 1u);
+  const Event& ev = dumps[0].events[0];
+  EXPECT_EQ(ev.stage, Stage::kEncode);
+  EXPECT_EQ(ev.step, 7);
+  EXPECT_EQ(ev.epoch, 2u);
+  EXPECT_EQ(ev.domain, Domain::kWall);
+  EXPECT_EQ(ev.dur_s, s);
+}
+
 // --- time-domain hygiene ----------------------------------------------------
 
 TEST_F(LineageTest, DeltaAcrossDomainsIsRefused) {
-  record_wall(Stage::kEncode, 5, 1, Kind::kClient, 3, /*dur_s=*/0.001);
+  record_wall(Stage::kEncode, 5, 1, Kind::kClient, 3);
   record_virtual(Stage::kWire, 5, 1, Kind::kClient, 3, /*t_s=*/2.0,
                  /*dur_s=*/0.25);
   record_virtual(Stage::kWire, 6, 1, Kind::kClient, 3, /*t_s=*/3.5);
@@ -173,8 +207,8 @@ TEST_F(LineageTest, DeltaAcrossDomainsIsRefused) {
 }
 
 TEST_F(LineageTest, ChromeFragmentSplitsDomainsIntoProcesses) {
-  record_wall(Stage::kRender, 5, 1, Kind::kRank, 0, /*dur_s=*/0.001);
-  record_wall(Stage::kEncode, 5, 1, Kind::kClient, 2, /*dur_s=*/0.0005);
+  record_wall(Stage::kRender, 5, 1, Kind::kRank, 0);
+  record_wall(Stage::kEncode, 5, 1, Kind::kClient, 2);
   record_virtual(Stage::kWire, 5, 1, Kind::kClient, 2, /*t_s=*/0.1,
                  /*dur_s=*/0.05);
   const std::string frag = chrome_fragment();
@@ -203,8 +237,7 @@ TEST_F(LineageTest, RankKillDumpsTheFlightRecorder) {
       2,
       [](vmpi::Comm& comm) {
         for (int s = 0; s < 4; ++s) {
-          record_wall(Stage::kRender, s, 0, Kind::kRank, comm.rank(),
-                      /*dur_s=*/1e-6);
+          record_wall(Stage::kRender, s, 0, Kind::kRank, comm.rank());
           comm.fault_checkpoint(s);
         }
       },

@@ -1,21 +1,30 @@
 // Unit tests of the qv::trace subsystem plus pipeline-integration tests:
 // tracing must be invisible when disabled (bit-identical frames), must
-// capture the per-role pipeline spans when enabled, and the overlap analysis
-// must verify the paper's input/render overlap claim (Fig 5) on real traces.
+// capture the per-role pipeline spans when enabled, must agree exactly with
+// the report, the histograms and the lineage recorder, must record every
+// name the benchmark reads, and the overlap analysis must verify the
+// paper's input/render overlap claim (Fig 5) on real traces.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "core/pipeline.hpp"
 #include "io/dataset.hpp"
+#include "metrics/metrics.hpp"
+#include "obs/lineage.hpp"
 #include "quake/synthetic.hpp"
+#include "stream/steer.hpp"
 #include "trace/analysis.hpp"
 
 namespace qv::trace {
@@ -76,6 +85,24 @@ TEST(TraceTest, EnabledRecordsSpansCountersInstants) {
   const Event& inst = traces[0].events[2];
   EXPECT_EQ(inst.kind, EventKind::kInstant);
   EXPECT_EQ(inst.arg, 5);
+}
+
+// An untimed span with tracing and metrics off reads no clock; a timed one
+// reads it anyway (its caller wants the duration) and still records nothing.
+TEST(TraceTest, TimedSpanReadsTheClockWithTracingOff) {
+  TraceStateGuard guard;
+  Span untimed("cat", "idle");
+  EXPECT_FALSE(untimed.open());
+  EXPECT_EQ(untimed.stop(), 0.0);
+  Span timed("cat", "busy", -1, /*timed=*/true);
+  EXPECT_TRUE(timed.open());
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  const double s = timed.stop();
+  EXPECT_GT(s, 0.0);
+  EXPECT_EQ(double(timed.dur_ns()) * 1e-9, s);
+  EXPECT_FALSE(timed.open());
+  EXPECT_EQ(timed.stop(), s);  // closes once
+  EXPECT_TRUE(collect().empty());
 }
 
 TEST(TraceTest, EnableResetsPreviousEvents) {
@@ -329,6 +356,174 @@ TEST_F(TracePipelineTest, PipelineEmitsRoleLanesAndStageSpans) {
   EXPECT_EQ(summary.render_ranks, 2);
   EXPECT_GT(summary.ts_seconds, 0.0);
   EXPECT_GT(summary.suggested_input_procs, 0);
+}
+
+// Report, trace, histograms and lineage come from one pair of clock reads
+// per stage: each stage's registry counter is exactly the summed durations
+// of its spans, each report average times its step count is that sum, every
+// render-side lineage event is a span's own start and duration, and the
+// encode histogram holds exactly the kEncode events.
+TEST_F(TracePipelineTest, ReportTraceAndLineageAgreeExactly) {
+  TraceStateGuard guard;
+  struct ObsGuard {
+    ~ObsGuard() {
+      obs::lineage::disable();
+      obs::lineage::reset();
+      metrics::disable();
+    }
+  } obs_guard;
+  auto cfg = base_config();
+  cfg.serve.enabled = true;
+  cfg.serve.count = 2;
+  cfg.serve.bandwidth_hi = 1e8;
+  metrics::enable();
+  obs::lineage::enable();
+  enable();
+  const metrics::Snapshot before = metrics::collect();
+  const core::PipelineReport rep = core::run_pipeline(cfg);
+  const metrics::Snapshot after = metrics::collect();
+  disable();
+  const auto traces = collect();
+
+  // Per stage: summed span ns, and the spans by (lane, step).
+  std::map<std::string, std::int64_t> span_ns;
+  std::map<std::tuple<std::string, int, std::int64_t>, const Event*> by_lane;
+  for (const auto& t : traces) {
+    EXPECT_EQ(t.dropped, 0u) << t.name;
+    for (const auto& e : t.events) {
+      if (e.kind != EventKind::kSpan || std::strcmp(e.cat, "pipeline") != 0)
+        continue;
+      span_ns[e.name] += e.dur_ns;
+      by_lane[{e.name, t.tid, e.arg}] = &e;
+    }
+  }
+  const double steps = rep.steps, renders = rep.steps * cfg.render_procs;
+  const struct {
+    const char* span;
+    const char* counter;
+    double avg, count;
+  } stages[] = {
+      {"fetch", "pipeline.fetch_ns", rep.avg_fetch,
+       double(rep.input_steps_attempted)},
+      {"preprocess", "pipeline.preprocess_ns", rep.avg_preprocess,
+       double(rep.input_steps_completed)},
+      {"send_blocks", "pipeline.send_ns", rep.avg_send,
+       double(rep.input_steps_completed)},
+      {"render", "pipeline.render_ns", rep.avg_render, renders},
+      {"composite", "pipeline.composite_ns", rep.avg_composite, renders},
+  };
+  ASSERT_EQ(steps, kSteps);
+  for (const auto& st : stages) {
+    const std::int64_t sum = span_ns[st.span];
+    ASSERT_GT(sum, 0) << st.span;
+    EXPECT_EQ(after.counter_or(st.counter) - before.counter_or(st.counter),
+              std::uint64_t(sum))
+        << st.counter;
+    EXPECT_NEAR(st.avg * st.count, double(sum) * 1e-9,
+                double(sum) * 1e-9 * 1e-12)
+        << st.span;
+  }
+
+  // Lineage: every wall-clock render, composite and frame event is its
+  // span.
+  const std::map<obs::lineage::Stage, std::string> span_of = {
+      {obs::lineage::Stage::kRender, "render"},
+      {obs::lineage::Stage::kComposite, "composite"},
+      {obs::lineage::Stage::kFrame, "frame"}};
+  std::size_t matched = 0, encodes = 0;
+  double encode_sum = 0.0;
+  for (const auto& ch : obs::lineage::collect()) {
+    for (const auto& ev : ch.events) {
+      if (ev.stage == obs::lineage::Stage::kEncode) {
+        ++encodes;
+        encode_sum += ev.dur_s;
+      }
+      // The server's virtual-time kFrame (submit) is no rank's stage.
+      auto name = span_of.find(ev.stage);
+      if (name == span_of.end() || ev.domain != obs::lineage::Domain::kWall)
+        continue;
+      auto span = by_lane.find({name->second, ch.id, ev.step});
+      ASSERT_NE(span, by_lane.end())
+          << name->second << " step " << ev.step << " lane " << ch.id;
+      EXPECT_NEAR(ev.t_s * 1e9, double(span->second->ts_ns), 1.0);
+      EXPECT_NEAR(ev.dur_s * 1e9, double(span->second->dur_ns), 1.0);
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, std::size_t(2 * renders + steps));
+  const auto& hist = after.histograms.at("stream.e2e.encode");
+  EXPECT_EQ(encodes, std::size_t(steps * cfg.serve.count));
+  EXPECT_EQ(hist.count, encodes);
+  EXPECT_NEAR(hist.sum, encode_sum, encode_sum * 1e-12);
+}
+
+// perfbench sums spans, counters and histograms by name, and
+// analyze_overlap matches pipeline spans by name: a rename would silently
+// turn a per-layer benchmark metric into 0. Small traced, metrics-on runs
+// of each shape the benchmark drives (1DIP under the three compositors,
+// 2DIP-collective, a live steer loop fanned out to viewers) must show every
+// name the benchmark reads with a nonzero count.
+TEST_F(TracePipelineTest, EveryNameTheBenchmarkReadsIsRecorded) {
+  TraceStateGuard guard;
+  std::map<std::string, std::uint64_t> spans, counters, histograms;
+  auto observe = [&](const std::function<void()>& run) {
+    metrics::enable();
+    enable();
+    run();
+    disable();
+    metrics::disable();
+    for (const auto& t : collect())
+      for (const auto& e : t.events)
+        if (e.kind == EventKind::kSpan)
+          ++spans[std::string(e.cat) + "/" + e.name];
+    const metrics::Snapshot snap = metrics::collect();
+    for (const auto& [name, v] : snap.counters) counters[name] += v;
+    for (const auto& [name, h] : snap.histograms) histograms[name] += h.count;
+  };
+  for (auto algo : {core::Compositor::kSlic, core::Compositor::kDirectSend,
+                    core::Compositor::kRadixK}) {
+    auto cfg = base_config();
+    cfg.compositor = algo;
+    if (algo == core::Compositor::kRadixK) {
+      cfg.render_procs = 3;  // k = 2 folds one rank: radixk_fold runs too
+      cfg.composite_k = 2;
+    }
+    observe([&] { core::run_pipeline(cfg); });
+  }
+  auto collective = base_config();
+  collective.strategy = core::IoStrategy::kTwoDipCollective;
+  observe([&] { core::run_pipeline(collective); });
+  stream::SteerLoopConfig steer;
+  steer.width = 64;
+  steer.height = 48;
+  steer.frames = 6;
+  steer.live = true;
+  stream::SteerMsg camera;
+  camera.f0 = 90.0f;
+  steer.trace = {{2, camera}, {2, camera}};  // posted together: coalesced
+  steer.fleet.enabled = true;
+  steer.fleet.count = 2;
+  observe([&] { (void)stream::run_steer_loop(steer); });
+
+  for (const char* name :
+       {"pipeline/fetch", "pipeline/preprocess", "pipeline/send_blocks",
+        "pipeline/wait_blocks", "pipeline/render", "pipeline/composite",
+        "pipeline/wait_frame", "pipeline/frame", "compositing/slic_schedule",
+        "compositing/slic_exchange", "compositing/slic_composite",
+        "compositing/ds_exchange", "compositing/ds_composite",
+        "compositing/radixk_round", "compositing/radixk_fold",
+        "compositing/radixk_composite", "vmpi/allgather",
+        "stream/serve_frame"})
+    EXPECT_GT(spans[name], 0u) << "span " << name;
+  for (const char* name :
+       {"stream.e2e.encode", "stream.e2e.queue_wait", "stream.e2e.wire"})
+    EXPECT_GT(histograms[name], 0u) << "histogram " << name;
+  for (const char* name :
+       {"io.useful_bytes", "io.disk_bytes", "io.exchanged_bytes",
+        "vmpi.send.bytes", "vmpi.collective.calls", "render.samples",
+        "render.shaded_samples", "render.skipped_samples",
+        "compositing.messages", "steer.coalesced"})
+    EXPECT_GT(counters[name], 0u) << "counter " << name;
 }
 
 // Overlap verification on real traces with injected disk latency. The sleep

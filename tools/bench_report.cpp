@@ -236,19 +236,22 @@ int cmd_validate_lineage(int argc, char** argv) {
   return 0;
 }
 
-RunReport synthetic_report(double scale) {
+// A timing row scaled by `scale` and a byte row `extra_bytes` over 1 MB.
+RunReport synthetic_report(double scale, double extra_bytes = 0.0) {
   RunReport r;
   r.kind = "selftest";
   r.track("interframe_s", 0.100 * scale, "s");
-  r.track("io_bytes", 1.0e6 * scale, "bytes");
+  r.track("io_bytes", 1.0e6 + extra_bytes, "bytes");
   return r;
 }
 
 int cmd_selftest() {
   const RunReport base = synthetic_report(1.0);
-  // +5% stays under the 15% threshold; +30% must trip it.
+  // A +5% timing stays under the 15% threshold; +30% must trip it, and so
+  // must one byte more on the exact byte row.
   GateResult pass = compare_reports(base, synthetic_report(1.05), 0.15);
   GateResult fail = compare_reports(base, synthetic_report(1.30), 0.15);
+  GateResult byte = compare_reports(base, synthetic_report(1.0, 1.0), 0.15);
   // Round-trip through JSON, as the real gate does with files on disk.
   std::string err;
   auto parsed = parse_report(to_json(base), &err);
@@ -259,10 +262,11 @@ int cmd_selftest() {
                  err.c_str());
     return 1;
   }
-  std::printf("selftest: +5%% -> %s, +30%% -> %s\n",
-              pass.ok ? "PASS" : "FAIL", fail.ok ? "PASS" : "FAIL");
+  std::printf("selftest: +5%% -> %s, +30%% -> %s, +1 byte -> %s\n",
+              pass.ok ? "PASS" : "FAIL", fail.ok ? "PASS" : "FAIL",
+              byte.ok ? "PASS" : "FAIL");
   std::printf("%s", format_gate_table(fail).c_str());
-  if (!pass.ok || fail.ok) {
+  if (!pass.ok || fail.ok || byte.ok) {
     std::fprintf(stderr, "selftest: gate verdicts are wrong\n");
     return 1;
   }

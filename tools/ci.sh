@@ -40,7 +40,7 @@ trace_smoke() {
       --renderers=2 --width=96 --height=72 --vmax=3 \
       --trace="$work/trace.json" --metrics-json="$work/run.json"
   if command -v python3 >/dev/null; then
-    python3 - "$work/trace.json" <<'EOF'
+    python3 - "$work/trace.json" "$work/run.json" <<'EOF'
 import json, sys
 events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "trace must be a non-empty array"
@@ -53,18 +53,22 @@ for name in ("fetch", "send_blocks", "wait_blocks", "render", "composite",
     assert name in names, f"missing span {name!r}"
 assert any(e.get("ph") == "M" for e in events), "missing thread metadata"
 print(f"trace smoke: {len(events)} events, categories {sorted(c for c in cats if c)}")
-EOF
-    python3 - "$work/run.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
+r = json.load(open(sys.argv[2]))
 assert r.get("schema") == "qv-run-report" and r.get("version") == 2, "bad schema"
 assert r.get("kind") == "pipeline"
 tracked = {m["name"] for m in r["tracked"]}
 assert "interframe_s" in tracked, f"tracked = {sorted(tracked)}"
 assert "span.pipeline.render" in r["histograms"], "span feed missing"
 assert r["counters"].get("render.rays", 0) > 0, "render counters missing"
+# One pair of clock reads per stage: each stage counter is exactly its
+# spans' summed durations (the export is ns-exact).
+for stage in ("fetch", "preprocess", "send_blocks", "render", "composite"):
+    total = sum(round(e["dur"] * 1000) for e in events if e.get("ph") == "X"
+                and e.get("cat") == "pipeline" and e.get("name") == stage)
+    ctr = f"pipeline.{stage.replace('_blocks', '')}_ns"
+    assert r["counters"].get(ctr) == total > 0, (ctr, r["counters"].get(ctr), total)
 print(f"metrics smoke: {len(r['counters'])} counters, "
-      f"{len(r['histograms'])} histograms")
+      f"{len(r['histograms'])} histograms, stage counters equal the spans")
 EOF
   else
     echo "trace smoke: python3 unavailable, skipped JSON validation"
@@ -164,6 +168,10 @@ EOF
   must_reject clients "${serve_run[@]}" --clients=0
   must_reject clients "${serve_run[@]}" --clients=-2
   must_reject clients "${serve_run[@]}" --steer --clients=0
+  must_reject steps "${pipe[@]}" --steps=0
+  must_reject steps "${serve_run[@]}" --steps=0
+  must_reject steps "${serve_run[@]}" --steer --steps=-3
+  must_reject steer-edits "${serve_run[@]}" --steer --steer-edits=-2
   echo "stream smoke: malformed and out-of-range flags rejected by name"
 }
 

@@ -145,6 +145,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/report.hpp"
 #include "obs/lineage.hpp"
+#include "obs/stage.hpp"
 #include "quake/solver.hpp"
 #include "quake/synthetic.hpp"
 #include "stream/control.hpp"
@@ -260,16 +261,22 @@ double positive_real(const Args& args, const std::string& flag,
   return v;
 }
 
-// Range-checked counts and image sizes: 0 or less would run silently wrong
-// (an empty image, one thread for zero) or fail without naming the flag.
-int positive_int(const Args& args, const std::string& flag, int fallback) {
+// Range-checked counts and image sizes: below `min` they would run silently
+// wrong (an empty image, one thread for zero, no frames, no edits) or fail
+// without naming the flag.
+int int_at_least(const Args& args, const std::string& flag, int fallback,
+                 int min) {
   const int v = args.num(flag, fallback);
-  if (v < 1) {
-    std::fprintf(stderr, "invalid value for --%s: %d (must be >= 1)\n",
-                 flag.c_str(), v);
+  if (v < min) {
+    std::fprintf(stderr, "invalid value for --%s: %d (must be >= %d)\n",
+                 flag.c_str(), v, min);
     std::exit(2);
   }
   return v;
+}
+
+int positive_int(const Args& args, const std::string& flag, int fallback) {
+  return int_at_least(args, flag, fallback, 1);
 }
 
 double non_negative_real(const Args& args, const std::string& flag,
@@ -337,12 +344,7 @@ void parse_steer_flags(const Args& args, core::SteeringConfig& cfg) {
     if (args.flag(f)) cfg.enabled = true;
   if (!cfg.enabled) return;
   cfg.seed = std::uint64_t(args.num("steer-seed", 1));
-  cfg.edits = args.num("steer-edits", 4);
-  if (cfg.edits < 0) {
-    std::fprintf(stderr, "invalid value for --steer-edits: %d (must be >= 0)\n",
-                 cfg.edits);
-    std::exit(2);
-  }
+  cfg.edits = int_at_least(args, "steer-edits", 4, 0);
   cfg.trace_path = args.str("steer-trace", "");
 }
 
@@ -686,7 +688,7 @@ int cmd_pipeline(const Args& args) {
   cfg.render_threads = positive_int(args, "render-threads", 1);
   cfg.width = positive_int(args, "width", 512);
   cfg.height = positive_int(args, "height", 384);
-  cfg.num_steps = args.num("steps", -1);
+  cfg.num_steps = args.flag("steps") ? positive_int(args, "steps", 1) : -1;
   cfg.adaptive_level = args.num("level", -1);
   cfg.lic_overlay = args.flag("lic");
   cfg.enhancement = args.flag("enhance");
@@ -867,13 +869,14 @@ int cmd_serve_steered(const Args& args) {
   stream::SteerLoopConfig cfg;
   cfg.width = positive_int(args, "width", cfg.width);
   cfg.height = positive_int(args, "height", cfg.height);
-  cfg.frames = args.num("steps", cfg.frames);
+  cfg.frames = positive_int(args, "steps", cfg.frames);
   cfg.render_threads = positive_int(args, "render-threads", cfg.render_threads);
   cfg.seed = std::uint64_t(args.num("seed", 1));
   cfg.live = args.flag("steer-live");
   cfg.cancellation = !args.flag("steer-no-cancel");
   cfg.late_join_frame = args.num("steer-late-join", -1);
   cfg.fleet.count = parse_fleet_flags(args, "", cfg.fleet.server);
+  const int edits = int_at_least(args, "steer-edits", 4, 0);
 
   const std::string trace_file = args.str("steer-trace", "");
   if (!trace_file.empty()) {
@@ -886,8 +889,8 @@ int cmd_serve_steered(const Args& args) {
     cfg.trace = std::move(*trace);
   } else {
     cfg.trace = stream::make_steer_trace(
-        std::uint64_t(args.num("steer-seed", 1)), cfg.frames,
-        args.num("steer-edits", 4), /*allow_scrub=*/true);
+        std::uint64_t(args.num("steer-seed", 1)), cfg.frames, edits,
+        /*allow_scrub=*/true);
   }
 
   const RunOutputs outputs(args);
@@ -953,7 +956,7 @@ int cmd_serve(const Args& args) {
     return cmd_serve_steered(args);
   stream::ChaosConfig cfg;
   cfg.seed = std::uint64_t(args.num("seed", 1));
-  cfg.steps = args.num("steps", 60);
+  cfg.steps = positive_int(args, "steps", 60);
   cfg.width = positive_int(args, "width", 128);
   cfg.height = positive_int(args, "height", 96);
   if (args.flag("chaos")) cfg.server.evict_timeout_s = 0.5;
@@ -1016,14 +1019,11 @@ int cmd_view(const Args& args) {
   std::vector<double> decode_s;
   decode_s.reserve(frames->size());
   for (const auto& wire : *frames) {
-    const std::int64_t t0 = trace::now_since_epoch_ns();
+    obs::Stage decode({.histogram = &metrics::histogram("stream.e2e.decode"),
+                       .timed = true});
     auto f = dec.decode(wire);
-    const double dt = double(trace::now_since_epoch_ns() - t0) * 1e-9;
-    decode_s.push_back(dt);
-    if (metrics::enabled()) {
-      metrics::counter("view.frames").add();
-      metrics::histogram("stream.e2e.decode").observe(dt);
-    }
+    decode_s.push_back(decode.stop());
+    if (metrics::enabled()) metrics::counter("view.frames").add();
     if (!f) {
       std::fprintf(stderr, "decode failure (%zu wire bytes)\n", wire.size());
       ++failures;
