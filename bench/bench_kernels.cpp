@@ -99,18 +99,14 @@ struct RaycastFixture {
   explicit RaycastFixture(int level)
       : mesh(mesh::LinearOctree::uniform(kUnit, level)),
         blocks(octree::decompose(mesh.octree(), 1)),
-        index(mesh, blocks) {
+        index(mesh, blocks),
+        rblocks(render::build_render_blocks(mesh, blocks, index)) {
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     quake::SyntheticQuake q;
     auto data = q.sample_nodes(mesh, 1.5f);
     auto mag = io::magnitude(data, 3);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-      std::vector<float> vals;
-      for (auto n : index.block_nodes(b)) vals.push_back(mag[n]);
-      rblocks.back().set_values(std::move(vals));
-    }
+    for (auto& rb : rblocks) rb.gather_values(mag);
   }
 };
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -263,15 +264,15 @@ struct InputControl {
 // count) of the level by one independent read (1DIP: the whole level;
 // 2DIP-independent: the member's contiguous slice), or, with `group` set,
 // the collective indexed view of `nodes` on the group communicator
-// (2DIP-collective). Either way the records come back interleaved, in the
-// order of the rank's node array. Transient-retry accounting happens
-// inside vmpi::File (io.retries counts each retry as it fires), so a throw
-// loses nothing.
+// (2DIP-collective), planned once and shared by every step's file. Either
+// way the records come back interleaved, in the order of the rank's node
+// array. Transient-retry accounting happens inside vmpi::File (io.retries
+// counts each retry as it fires), so a throw loses nothing.
 struct StepReader {
   vmpi::Comm* group = nullptr;
   std::uint64_t first = 0, count = 0;
   std::vector<mesh::NodeId> nodes;
-  vmpi::IndexedBlockView view;
+  std::shared_ptr<const vmpi::ViewPlan> view;
 
   std::vector<float> read(vmpi::Comm& world, const DatasetSource& src,
                           int step) const {
@@ -347,17 +348,16 @@ InputPlan make_input_plan(const DatasetSource& src, const Scene& scene,
       StepReader& rd = p.reader;
       rd.group = group;
       rd.nodes = io::merged_nodes(scene.index, mine);
-      rd.view.elem_bytes = src.comps() * sizeof(float);
-      const std::uint64_t base_elems = src.level_offset() / rd.view.elem_bytes;
-      for (auto nid : rd.nodes) rd.view.block_offsets.push_back(base_elems + nid);
-      for (std::size_t b : mine) {
-        auto& pos = p.msgs.emplace_back(owners[b], std::int32_t(b)).positions;
-        auto it = rd.nodes.begin();  // both lists are sorted
-        for (mesh::NodeId n : scene.index.block_nodes(b)) {
-          it = std::lower_bound(it, rd.nodes.end(), n);
-          pos.push_back(std::uint32_t(it - rd.nodes.begin()));
-        }
-      }
+      vmpi::IndexedBlockView view;
+      view.elem_bytes = src.comps() * sizeof(float);
+      const std::uint64_t base_elems = src.level_offset() / view.elem_bytes;
+      view.block_offsets.reserve(rd.nodes.size());
+      for (auto nid : rd.nodes) view.block_offsets.push_back(base_elems + nid);
+      rd.view = std::make_shared<const vmpi::ViewPlan>(view);
+      auto positions = io::merged_positions(scene.index, mine, rd.nodes);
+      for (std::size_t i = 0; i < mine.size(); ++i)
+        p.msgs.push_back({owners[mine[i]], std::int32_t(mine[i]),
+                          std::move(positions[i])});
       break;
     }
     case IoStrategy::kTwoDipIndependent: {
@@ -391,7 +391,9 @@ void run_input(Shared& sh, const DatasetSource& src, const Scene& scene,
   const bool one_dip = cfg.strategy == IoStrategy::kOneDip;
   const int stride = one_dip ? cfg.input_procs : cfg.groups;
   vmpi::Comm* group = one_dip ? nullptr : &sources;
+  trace::Span plan_span("setup", "input_plan");
   InputPlan plan = make_input_plan(src, scene, group, scene.owners);
+  plan_span.stop();
   int cur_epoch = 0;
   std::optional<lic::Quadtree> qt;
   PipeCounters& pc = pipe_counters();
@@ -497,6 +499,9 @@ void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
   const bool independent = cfg.strategy == IoStrategy::kTwoDipIndependent;
   const bool rebalancing = cfg.rebalance_every > 0;
 
+  // The blocks, the 2DIP-independent scatter lists and the render stage are
+  // built after the start barrier, so they are the first frame's set-up.
+  trace::Span setup_span("setup", "render_blocks");
   RenderAssignment assign;
   assign.rebuild(scene.mesh, scene.blocks, scene.index, rr, scene.owners);
 
@@ -524,6 +529,7 @@ void run_render(Shared& sh, const Scene& scene, vmpi::Comm& world,
                     cfg.render_threads,
                     {cfg.compositor, cfg.composite_k, cfg.compress_compositing},
                     world, render_comm);
+  setup_span.stop();
 
   const auto timeout = std::chrono::milliseconds(
       cfg.recv_timeout_ms > 0 ? cfg.recv_timeout_ms : 0);

@@ -63,19 +63,17 @@ void RenderAssignment::rebuild(const mesh::HexMesh& mesh,
   owners = std::move(new_owners);
   owned.clear();
   local_of.clear();
-  rblocks.clear();
+  rblocks.clear();  // free the old blocks before building the new
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (owners[b] == my_rank) {
       local_of[int(b)] = owned.size();
       owned.push_back(b);
     }
   }
-  rblocks.reserve(owned.size());
+  rblocks = render::build_render_blocks(mesh, blocks, index, owned);
   block_values.assign(owned.size(), {});
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    rblocks.emplace_back(mesh, blocks[owned[i]], index.block_nodes(owned[i]));
-    block_values[i].resize(index.block_nodes(owned[i]).size());
-  }
+  for (std::size_t i = 0; i < owned.size(); ++i)
+    block_values[i].resize(rblocks[i].local_node_count());
 }
 
 RenderStage::RenderStage(const ViewSchedule& view,

@@ -60,15 +60,8 @@ img::Image render_step(io::DatasetReader& reader, int step,
                              octree::WorkloadModel::kCellCount);
   io::BlockNodeIndex index(mesh, blocks);
 
-  std::vector<render::RenderBlock> rblocks;
-  rblocks.reserve(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-    std::vector<float> vals;
-    vals.reserve(index.block_nodes(b).size());
-    for (auto n : index.block_nodes(b)) vals.push_back(scalar[n]);
-    rblocks.back().set_values(std::move(vals));
-  }
+  auto rblocks = render::build_render_blocks(mesh, blocks, index);
+  for (auto& rb : rblocks) rb.gather_values(scalar);
   return render::render_frame(camera, tf, config.render, rblocks, blocks,
                               mesh.domain(), stats);
 }

@@ -1,34 +1,70 @@
 #include "io/block_index.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace qv::io {
 
 BlockNodeIndex::BlockNodeIndex(const mesh::HexMesh& mesh,
                                std::span<const octree::Block> blocks) {
-  nodes_.resize(blocks.size());
   auto cells = mesh.cells();
+  // stamp[n] == b + 1 once node n is listed for block b.
+  std::vector<std::uint32_t> stamp(mesh.node_count(), 0);
+  first_.reserve(blocks.size() + 1);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    auto& list = nodes_[b];
-    list.reserve((blocks[b].cell_count() * 8) / 2);
+    const auto mark = std::uint32_t(b + 1);
+    const std::size_t begin = ids_.size();
     for (std::size_t c = blocks[b].cell_begin; c < blocks[b].cell_end; ++c) {
-      for (mesh::NodeId n : cells[c]) list.push_back(n);
+      for (mesh::NodeId n : cells[c]) {
+        if (stamp[n] == mark) continue;
+        stamp[n] = mark;
+        ids_.push_back(n);
+      }
     }
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    total_ += list.size();
+    std::sort(ids_.begin() + std::ptrdiff_t(begin), ids_.end());
+    first_.push_back(ids_.size());
   }
+  ids_.shrink_to_fit();
 }
 
 std::vector<mesh::NodeId> merged_nodes(const BlockNodeIndex& index,
                                        std::span<const std::size_t> block_ids) {
-  std::vector<mesh::NodeId> out;
+  // Each list is sorted, so its last id bounds the bitmap.
+  std::size_t words = 0;
   for (std::size_t b : block_ids) {
     auto nodes = index.block_nodes(b);
-    out.insert(out.end(), nodes.begin(), nodes.end());
+    if (!nodes.empty()) words = std::max(words, std::size_t(nodes.back()) / 64 + 1);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::vector<std::uint64_t> present(words, 0);
+  for (std::size_t b : block_ids) {
+    for (mesh::NodeId n : index.block_nodes(b))
+      present[n / 64] |= std::uint64_t(1) << (n % 64);
+  }
+  std::vector<mesh::NodeId> out;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = present[w]; bits != 0; bits &= bits - 1)
+      out.push_back(mesh::NodeId(w * 64 + std::size_t(std::countr_zero(bits))));
+  }
+  return out;
+}
+
+std::vector<std::vector<std::uint32_t>> merged_positions(
+    const BlockNodeIndex& index, std::span<const std::size_t> block_ids,
+    std::span<const mesh::NodeId> merged) {
+  std::vector<std::uint32_t> pos_of(merged.empty() ? 0 : merged.back() + 1);
+  for (std::size_t i = 0; i < merged.size(); ++i)
+    pos_of[merged[i]] = std::uint32_t(i);
+  std::vector<std::vector<std::uint32_t>> out(block_ids.size());
+  for (std::size_t i = 0; i < block_ids.size(); ++i) {
+    auto nodes = index.block_nodes(block_ids[i]);
+    out[i].reserve(nodes.size());
+    for (mesh::NodeId n : nodes) {
+      if (n >= pos_of.size() || merged[pos_of[n]] != n)
+        throw std::invalid_argument("merged_positions: node not in the merged list");
+      out[i].push_back(pos_of[n]);
+    }
+  }
   return out;
 }
 

@@ -21,30 +21,41 @@
 
 namespace qv::io {
 
-// Per-block sorted unique node lists for one level mesh.
+// Per-block sorted unique node lists for one level mesh, built in one pass
+// over the cells: a per-node stamp collects each block's unique ids, and
+// only those are sorted. The lists are stored back to back.
 class BlockNodeIndex {
  public:
   BlockNodeIndex() = default;
   BlockNodeIndex(const mesh::HexMesh& mesh,
                  std::span<const octree::Block> blocks);
 
-  std::size_t block_count() const { return nodes_.size(); }
+  std::size_t block_count() const { return first_.size() - 1; }
   // Sorted unique node ids used by block `b`'s cells.
   std::span<const mesh::NodeId> block_nodes(std::size_t b) const {
-    return nodes_[b];
+    return std::span(ids_).subspan(first_[b], first_[b + 1] - first_[b]);
   }
   // Total node entries across blocks (with inter-block duplication).
-  std::uint64_t total_entries() const { return total_; }
+  std::uint64_t total_entries() const { return ids_.size(); }
 
  private:
-  std::vector<std::vector<mesh::NodeId>> nodes_;
-  std::uint64_t total_ = 0;
+  std::vector<std::size_t> first_{0};  // block b's ids: [first_[b], first_[b+1])
+  std::vector<mesh::NodeId> ids_;
 };
 
 // Merged, deduplicated node list for a set of blocks ("octree data are
-// merged for each rendering processor" — §5.3.1). Returned sorted.
+// merged for each rendering processor" — §5.3.1). Returned sorted; built
+// through a presence bitmap over the node ids, not a sort.
 std::vector<mesh::NodeId> merged_nodes(const BlockNodeIndex& index,
                                        std::span<const std::size_t> block_ids);
+
+// Where each block's nodes sit in `merged`, a sorted list holding every
+// node of those blocks (merged_nodes' answer): entry i lists, for each node
+// of block_ids[i] in block order, its index in `merged`. Read through a
+// dense node -> position table, not a search per node.
+std::vector<std::vector<std::uint32_t>> merged_positions(
+    const BlockNodeIndex& index, std::span<const std::size_t> block_ids,
+    std::span<const mesh::NodeId> merged);
 
 // One forwarded piece under strategy 2: node `slice_pos` within the reader's
 // contiguous slice goes to position `block_pos` of block `block`.

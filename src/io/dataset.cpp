@@ -57,8 +57,11 @@ DatasetMeta read_meta(const std::string& path) {
   m.components = get<std::int32_t>(is);
   m.num_steps = get<std::int32_t>(is);
   m.step_dt = get<float>(is);
-  int levels = m.finest_level - m.coarsest_level + 1;
-  m.level_node_count.resize(std::size_t(levels));
+  if (m.finest_level < m.coarsest_level)
+    throw std::runtime_error("dataset: inverted level range " +
+                             std::to_string(m.coarsest_level) + ".." +
+                             std::to_string(m.finest_level) + " in " + path);
+  m.level_node_count.resize(std::size_t(m.finest_level - m.coarsest_level + 1));
   for (auto& n : m.level_node_count) n = get<std::uint64_t>(is);
   if (!is) throw std::runtime_error("dataset: truncated meta " + path);
   return m;
@@ -103,6 +106,12 @@ mesh::LinearOctree read_octree(const std::string& path) {
 DatasetWriter::DatasetWriter(std::string dir, const mesh::HexMesh& fine,
                              int coarsest_level, int components, float step_dt)
     : dir_(std::move(dir)), fine_(fine) {
+  if (fine.octree().max_leaf_level() < coarsest_level)
+    throw std::invalid_argument(
+        "dataset: the mesh's finest level " +
+        std::to_string(fine.octree().max_leaf_level()) +
+        " is below the coarsest stored level " +
+        std::to_string(coarsest_level));
   meta_.domain = fine.domain();
   meta_.coarsest_level = coarsest_level;
   meta_.finest_level = fine.octree().max_leaf_level();

@@ -44,7 +44,8 @@ struct DatasetMeta {
 class DatasetWriter {
  public:
   // `fine` must outlive the writer. Level meshes for
-  // [coarsest_level, fine level] are built on construction.
+  // [coarsest_level, fine level] are built on construction. Throws
+  // std::invalid_argument when the fine level is below coarsest_level.
   DatasetWriter(std::string dir, const mesh::HexMesh& fine, int coarsest_level,
                 int components, float step_dt);
 

@@ -29,13 +29,8 @@ KernelRates measure_kernel_rates() {
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     io::BlockNodeIndex index(mesh, blocks);
-    std::vector<render::RenderBlock> rblocks;
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-      std::vector<float> vals;
-      for (auto n : index.block_nodes(b)) vals.push_back(mag[n]);
-      rblocks.back().set_values(std::move(vals));
-    }
+    auto rblocks = render::build_render_blocks(mesh, blocks, index);
+    for (auto& rb : rblocks) rb.gather_values(mag);
     auto tf = render::TransferFunction::seismic();
     render::RenderOptions opt;
     opt.value_hi = 2.0f;

@@ -7,20 +7,32 @@
 namespace qv::render {
 
 RenderBlock::RenderBlock(const mesh::HexMesh& mesh, const octree::Block& block,
-                         std::span<const mesh::NodeId> nodes)
+                         std::span<const mesh::NodeId> nodes, NodeRemap& remap)
     : mesh_(&mesh), block_(block), nodes_(nodes.begin(), nodes.end()) {
+  std::vector<std::uint32_t>& local = remap.local_;
+  for (mesh::NodeId n : nodes_)
+    if (n >= local.size())
+      throw std::runtime_error("RenderBlock: node id outside the mesh");
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    local[nodes_[i]] = std::uint32_t(i);
+  // Clears this block's entries again, however the constructor leaves.
+  struct Clear {
+    std::vector<std::uint32_t>& local;
+    std::span<const mesh::NodeId> nodes;
+    ~Clear() {
+      for (mesh::NodeId n : nodes) local[n] = NodeRemap::kAbsent;
+    }
+  } clear{local, nodes_};
   conn_.resize(block.cell_count());
   auto cells = mesh.cells();
   auto leaves = mesh.octree().leaves();
   float min_edge = 1e30f;
   for (std::size_t c = block.cell_begin; c < block.cell_end; ++c) {
     for (int i = 0; i < 8; ++i) {
-      mesh::NodeId g = cells[c][std::size_t(i)];
-      auto it = std::lower_bound(nodes_.begin(), nodes_.end(), g);
-      if (it == nodes_.end() || *it != g)
+      const std::uint32_t l = local[cells[c][std::size_t(i)]];
+      if (l == NodeRemap::kAbsent)
         throw std::runtime_error("RenderBlock: node missing from block list");
-      conn_[c - block.cell_begin][std::size_t(i)] =
-          std::uint32_t(it - nodes_.begin());
+      conn_[c - block.cell_begin][std::size_t(i)] = l;
     }
     min_edge = std::min(min_edge, leaves[c].box(mesh.domain()).extent().x);
   }
@@ -115,6 +127,12 @@ void RenderBlock::set_values(std::vector<float> values) {
     throw std::runtime_error("RenderBlock: value count mismatch");
   values_ = std::move(values);
   refresh_macro_ranges();
+}
+
+void RenderBlock::gather_values(std::span<const float> field) {
+  std::vector<float> values(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) values[i] = field[nodes_[i]];
+  set_values(std::move(values));
 }
 
 void RenderBlock::refresh_macro_ranges() {
@@ -222,6 +240,25 @@ bool RenderBlock::sample_gradient(Vec3 p, float h, Vec3& out,
   }
   out = g;
   return true;
+}
+
+std::vector<RenderBlock> build_render_blocks(
+    const mesh::HexMesh& mesh, std::span<const octree::Block> blocks,
+    const io::BlockNodeIndex& index, std::span<const std::size_t> ids) {
+  NodeRemap remap(mesh.node_count());
+  std::vector<RenderBlock> out;
+  out.reserve(ids.size());
+  for (std::size_t b : ids)
+    out.emplace_back(mesh, blocks[b], index.block_nodes(b), remap);
+  return out;
+}
+
+std::vector<RenderBlock> build_render_blocks(
+    const mesh::HexMesh& mesh, std::span<const octree::Block> blocks,
+    const io::BlockNodeIndex& index) {
+  std::vector<std::size_t> all(blocks.size());
+  for (std::size_t b = 0; b < all.size(); ++b) all[b] = b;
+  return build_render_blocks(mesh, blocks, index, all);
 }
 
 }  // namespace qv::render

@@ -2,7 +2,8 @@
 // to a block-local node array. The structure is built once per block when
 // the input processors ship the subtree at startup ("the subtree is
 // delivered ... only once at the beginning" — §4); per-step node values are
-// swapped in as each time step arrives.
+// swapped in as each time step arrives. build_render_blocks builds a set of
+// blocks in one linear pass over their cells.
 #pragma once
 
 #include <array>
@@ -10,17 +11,34 @@
 #include <span>
 #include <vector>
 
+#include "io/block_index.hpp"
 #include "mesh/hex_mesh.hpp"
 #include "octree/blocks.hpp"
 
 namespace qv::render {
 
+// A dense global -> block-local node table over one mesh's node ids, empty
+// between builds. A RenderBlock's constructor fills its own nodes' entries,
+// remaps its connectivity through them and clears them again, also when it
+// throws, so one table serves every block built on the mesh.
+class NodeRemap {
+ public:
+  explicit NodeRemap(std::size_t node_count) : local_(node_count, kAbsent) {}
+
+ private:
+  friend class RenderBlock;
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  std::vector<std::uint32_t> local_;
+};
+
 class RenderBlock {
  public:
   // `nodes` is the block's sorted unique global node list (from
-  // io::BlockNodeIndex); connectivity is remapped against it.
+  // io::BlockNodeIndex); connectivity is remapped against it through
+  // `remap`, a table over `mesh`'s nodes. Throws when a cell's node is
+  // missing from `nodes` or a node id is outside the table.
   RenderBlock(const mesh::HexMesh& mesh, const octree::Block& block,
-              std::span<const mesh::NodeId> nodes);
+              std::span<const mesh::NodeId> nodes, NodeRemap& remap);
 
   const octree::Block& block() const { return block_; }
   const Box3& bounds() const { return block_.bounds; }
@@ -32,6 +50,9 @@ class RenderBlock {
   // Also refreshes the per-macrocell value ranges used for empty-space
   // skipping (one min/max fold over the block's cells).
   void set_values(std::vector<float> values);
+  // set_values() with each node's value read from `field`, an array over
+  // the whole mesh indexed by global node id.
+  void gather_values(std::span<const float> field);
   std::span<const float> values() const { return values_; }
 
   // Empty-space-skipping macrocells: groups of Morton-consecutive leaf
@@ -107,5 +128,15 @@ class RenderBlock {
   Vec3 grid_scale_{};  // grid_dim_ / bounds extent, per axis
   float min_edge_ = 0.0f;
 };
+
+// The RenderBlocks of blocks[ids[i]], each over its list in `index`, built
+// with one NodeRemap: one linear pass over the blocks' cells.
+std::vector<RenderBlock> build_render_blocks(
+    const mesh::HexMesh& mesh, std::span<const octree::Block> blocks,
+    const io::BlockNodeIndex& index, std::span<const std::size_t> ids);
+// ... of every block.
+std::vector<RenderBlock> build_render_blocks(
+    const mesh::HexMesh& mesh, std::span<const octree::Block> blocks,
+    const io::BlockNodeIndex& index);
 
 }  // namespace qv::render

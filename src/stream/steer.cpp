@@ -71,10 +71,8 @@ struct SteerScene::Impl {
         mesh(mesh::LinearOctree::uniform(kSteerDomain, cfg.level)),
         blocks(octree::decompose(mesh.octree(), cfg.block_level)),
         index(mesh, blocks),
-        tf(steer_tf()) {
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-      rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-  }
+        rblocks(render::build_render_blocks(mesh, blocks, index)),
+        tf(steer_tf()) {}
 
   void fill(int step) {
     if (filled_step == step) return;
@@ -82,11 +80,7 @@ struct SteerScene::Impl {
     std::vector<float> values(mesh.node_count());
     for (std::size_t n = 0; n < values.size(); ++n)
       values[n] = steer_field(positions[n], step, seed);
-    for (std::size_t b = 0; b < rblocks.size(); ++b) {
-      std::vector<float> local;
-      for (auto n : index.block_nodes(b)) local.push_back(values[n]);
-      rblocks[b].set_values(std::move(local));
-    }
+    for (auto& rb : rblocks) rb.gather_values(values);
     filled_step = step;
   }
 };

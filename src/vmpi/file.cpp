@@ -25,13 +25,35 @@ metrics::Counter& io_useful_bytes() { static auto& c = metrics::counter("io.usef
 metrics::Counter& io_exchanged_bytes() { static auto& c = metrics::counter("io.exchanged_bytes"); return c; }
 metrics::Counter& io_retries() { static auto& c = metrics::counter("io.retries"); return c; }
 metrics::Counter& io_short_reads() { static auto& c = metrics::counter("io.short_reads"); return c; }
-
-// Serialized range pair.
-struct WireRange {
-  std::uint64_t begin;
-  std::uint64_t end;
-};
 }  // namespace
+
+ViewPlan::ViewPlan(const IndexedBlockView& view)
+    : total_bytes_(view.total_bytes()) {
+  const std::uint64_t bb = view.block_bytes();
+  const auto& offs = view.block_offsets;
+  // Visit the blocks by file offset: in view order when that is sorted
+  // already (the block node lists are), else through a sorted copy.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;  // (begin, out)
+  const bool in_order = std::is_sorted(offs.begin(), offs.end());
+  if (!in_order) {
+    sorted.reserve(offs.size());
+    for (std::size_t i = 0; i < offs.size(); ++i)
+      sorted.emplace_back(offs[i] * view.elem_bytes, i * bb);
+    std::sort(sorted.begin(), sorted.end());
+  }
+  // Coalesce blocks adjacent in both the file and the output buffer.
+  for (std::size_t i = 0; i < offs.size(); ++i) {
+    const std::uint64_t b = in_order ? offs[i] * view.elem_bytes : sorted[i].first;
+    const std::uint64_t out = in_order ? i * bb : sorted[i].second;
+    if (!ranges_.empty() && ranges_.back().end == b &&
+        out_.back() + (ranges_.back().end - ranges_.back().begin) == out) {
+      ranges_.back().end = b + bb;
+    } else {
+      ranges_.push_back({b, b + bb});
+      out_.push_back(out);
+    }
+  }
+}
 
 File::File(Comm& comm, const std::string& path) : comm_(&comm), path_(path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
@@ -48,7 +70,13 @@ File::~File() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void File::set_view(IndexedBlockView view) { view_ = std::move(view); }
+void File::set_view(const IndexedBlockView& view) {
+  plan_ = std::make_shared<const ViewPlan>(view);
+}
+
+void File::set_view(std::shared_ptr<const ViewPlan> plan) {
+  plan_ = std::move(plan);
+}
 
 // One pread attempt, with fault-plan injections: a transient error throws
 // before any bytes move; a short read delivers a strict prefix (the caller's
@@ -133,56 +161,30 @@ void File::read_at(std::uint64_t offset, std::span<std::uint8_t> out) {
   io_useful_bytes().add(out.size());
 }
 
-std::vector<File::Range> File::view_ranges() const {
-  std::vector<Range> ranges;
-  ranges.reserve(view_.block_offsets.size());
-  const std::uint64_t bb = view_.block_bytes();
-  std::uint64_t out_off = 0;
-  for (std::uint64_t off_elems : view_.block_offsets) {
-    std::uint64_t b = off_elems * view_.elem_bytes;
-    ranges.push_back({b, b + bb, out_off});
-    out_off += bb;
-  }
-  std::sort(ranges.begin(), ranges.end(),
-            [](const Range& a, const Range& b) { return a.begin < b.begin; });
-  // Coalesce blocks adjacent in both the file and the output buffer.
-  std::vector<Range> merged;
-  for (const Range& r : ranges) {
-    if (!merged.empty() && merged.back().end == r.begin &&
-        merged.back().out_offset + (merged.back().end - merged.back().begin) ==
-            r.out_offset) {
-      merged.back().end = r.end;
-    } else {
-      merged.push_back(r);
-    }
-  }
-  return merged;
-}
-
 void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
   trace::Span tsp("vmpi", "read_all", std::int64_t(out.size()));
-  if (out.size() != view_.total_bytes())
+  static const ViewPlan kNoView(IndexedBlockView{});
+  const ViewPlan& plan = plan_ ? *plan_ : kNoView;
+  if (out.size() != plan.total_bytes())
     throw std::runtime_error("vmpi::File::read_all: buffer size != view size");
+  using WireRange = ViewPlan::Extent;
   const int P = comm_->size();
   const int me = comm_->rank();
 
-  std::vector<Range> mine = view_ranges();
   stats_.useful_bytes += out.size();
   io_useful_bytes().add(out.size());
 
   // Exchange (begin, end) lists so every rank knows every request.
-  std::vector<WireRange> wire(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) wire[i] = {mine[i].begin, mine[i].end};
   auto all_blobs = comm_->allgather(
-      {reinterpret_cast<const std::uint8_t*>(wire.data()),
-       wire.size() * sizeof(WireRange)});
+      {reinterpret_cast<const std::uint8_t*>(plan.ranges_.data()),
+       plan.ranges_.size() * sizeof(WireRange)});
   std::vector<std::vector<WireRange>> all_ranges(static_cast<std::size_t>(P));
   std::uint64_t lo = UINT64_MAX, hi = 0;
   for (int r = 0; r < P; ++r) {
     const auto& b = all_blobs[std::size_t(r)];
     auto& v = all_ranges[std::size_t(r)];
     v.resize(b.size() / sizeof(WireRange));
-    std::memcpy(v.data(), b.data(), b.size());
+    if (!b.empty()) std::memcpy(v.data(), b.data(), b.size());  // a rank may ask nothing
     for (const auto& w : v) {
       lo = std::min(lo, w.begin);
       hi = std::max(hi, w.end);
@@ -230,6 +232,7 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
   std::vector<std::uint8_t> chunk_buf;
   std::uint64_t chunk_base = 0;
   bool have_extent = false;
+  std::vector<std::uint64_t> compact_at;  // sparse: covered[k]'s buffer offset
   std::uint8_t read_ok = 1;
   try {
     if (!covered.empty()) {
@@ -244,19 +247,15 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
         chunk_base = ext_lo;
         have_extent = true;
       } else {
-        // Sparse: read ranges individually into a compacted buffer with an
-        // index so extraction below can still find them.
-        std::uint64_t total = useful;
-        chunk_buf.resize(total);
+        // Sparse: read ranges individually into a compacted buffer, noting
+        // where each lands so extraction below can still find them.
+        chunk_buf.resize(useful);
         std::uint64_t off = 0;
-        for (auto& w : covered) {
+        for (const auto& w : covered) {
           pread_exact(w.begin, {chunk_buf.data() + off, w.end - w.begin});
-          // Reuse out_offset trick: stash the compact offset in-place.
-          w.begin |= 0;  // no-op: begin stays the absolute offset
+          compact_at.push_back(off);
           off += w.end - w.begin;
         }
-        chunk_base = 0;  // compact addressing resolved via `covered` walk below
-        have_extent = false;
       }
     }
   } catch (const IoError&) {
@@ -273,27 +272,22 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
     }
   }
 
-  // Byte accessor into what we read.
+  // Byte accessor into what we read. A rank's pieces come in file order (a
+  // plan's ranges are sorted), so in the compacted layout each rank's
+  // lookups walk `covered` forward from the extent of its previous piece:
+  // `k`, reset per rank.
+  std::size_t k = 0;
   auto fetch = [&](std::uint64_t abs_b, std::uint64_t abs_e,
                    std::vector<std::uint8_t>& dst) {
-    if (have_extent) {
-      dst.insert(dst.end(), chunk_buf.begin() + std::ptrdiff_t(abs_b - chunk_base),
-                 chunk_buf.begin() + std::ptrdiff_t(abs_e - chunk_base));
-      return;
+    std::uint64_t rel = abs_b - chunk_base;
+    if (!have_extent) {
+      while (k < covered.size() && covered[k].end < abs_e) ++k;
+      if (k == covered.size() || abs_b < covered[k].begin)
+        throw std::runtime_error("vmpi::File: internal sieve lookup failure");
+      rel = compact_at[k] + (abs_b - covered[k].begin);
     }
-    // Compacted layout: walk `covered` accumulating compact offsets.
-    std::uint64_t off = 0;
-    for (const auto& w : covered) {
-      std::uint64_t len = w.end - w.begin;
-      if (abs_b >= w.begin && abs_e <= w.end) {
-        std::uint64_t rel = off + (abs_b - w.begin);
-        dst.insert(dst.end(), chunk_buf.begin() + std::ptrdiff_t(rel),
-                   chunk_buf.begin() + std::ptrdiff_t(rel + (abs_e - abs_b)));
-        return;
-      }
-      off += len;
-    }
-    throw std::runtime_error("vmpi::File: internal sieve lookup failure");
+    dst.insert(dst.end(), chunk_buf.begin() + std::ptrdiff_t(rel),
+               chunk_buf.begin() + std::ptrdiff_t(rel + (abs_e - abs_b)));
   };
 
   // Phase two: ship each rank the pieces of its ranges inside my chunk.
@@ -303,6 +297,7 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
   for (int r = 0; r < P; ++r) {
     std::vector<std::uint8_t> msg;
     const auto& ranges = all_ranges[std::size_t(r)];
+    k = 0;
     for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
       const auto& w = ranges[ri];
       std::uint64_t b = std::max(w.begin, my_lo);
@@ -330,12 +325,12 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
       std::memcpy(hdr, msg.data() + pos, sizeof(hdr));
       pos += sizeof(hdr);
       std::uint64_t range_idx = hdr[0], abs_b = hdr[1], len = hdr[2];
-      if (range_idx >= mine.size())
+      if (range_idx >= plan.ranges_.size())
         throw std::runtime_error("vmpi::File: piece range index out of bounds");
-      const Range& rr = mine[std::size_t(range_idx)];
+      const WireRange& rr = plan.ranges_[std::size_t(range_idx)];
       if (abs_b < rr.begin || abs_b + len > rr.end)
         throw std::runtime_error("vmpi::File: piece does not fit its range");
-      std::uint64_t dst = rr.out_offset + (abs_b - rr.begin);
+      std::uint64_t dst = plan.out_[std::size_t(range_idx)] + (abs_b - rr.begin);
       std::memcpy(out.data() + dst, msg.data() + pos, len);
       pos += len;
     }

@@ -2,6 +2,8 @@
 //
 //  * IndexedBlockView  — MPI_Type_create_indexed_block: fixed-size element
 //    blocks at arbitrary element offsets, describing one reading pattern.
+//  * ViewPlan          — such a view planned once: its blocks as byte ranges,
+//    sorted by file offset and coalesced. Files of several steps share it.
 //  * File::set_view    — MPI_File_set_view with such a type.
 //  * File::read_all    — MPI_File_read_all: a collective two-phase read.
 //    Phase 1 partitions the requested byte span into per-rank chunks; each
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,6 +35,31 @@ struct IndexedBlockView {
 
   std::size_t block_bytes() const { return elem_bytes * block_elems; }
   std::size_t total_bytes() const { return block_bytes() * block_offsets.size(); }
+};
+
+// The read plan of one view, built once: its blocks as byte ranges, sorted
+// by file offset (unsorted or overlapping offsets are legal; they are sorted
+// here, and only when they are not already) and coalesced where adjacent in
+// both the file and the caller's buffer. A collective read reads the plan,
+// so it does no work per view block, and Files opened on the successive
+// step files of one layout share one plan.
+class ViewPlan {
+ public:
+  explicit ViewPlan(const IndexedBlockView& view);
+
+  std::size_t total_bytes() const { return total_bytes_; }
+  // Coalesced ranges: 1 for a view whose blocks tile one span.
+  std::size_t range_count() const { return ranges_.size(); }
+
+ private:
+  friend class File;
+  struct Extent {
+    std::uint64_t begin = 0;  // absolute file offset
+    std::uint64_t end = 0;
+  };
+  std::vector<Extent> ranges_;           // sorted by begin
+  std::vector<std::uint64_t> out_;       // each range's place in the buffer
+  std::size_t total_bytes_ = 0;
 };
 
 class File {
@@ -55,8 +83,9 @@ class File {
 
   std::uint64_t size_bytes() const { return size_; }
 
-  void set_view(IndexedBlockView view);
-  const IndexedBlockView& view() const { return view_; }
+  // Plan `view` for this file, or share a plan made once for several.
+  void set_view(const IndexedBlockView& view);
+  void set_view(std::shared_ptr<const ViewPlan> plan);
 
   // Retry policy applied per pread attempt. Retrying at the pread level (not
   // around whole reads) keeps transient failures *inside* collective
@@ -70,7 +99,7 @@ class File {
 
   // Collective noncontiguous read: all ranks of the communicator must call.
   // Fills `out` with this rank's view blocks concatenated in view order.
-  // `out.size()` must equal view().total_bytes().
+  // `out.size()` must equal the view's total_bytes().
   // `sieve_threshold`: fraction of useful bytes within a covering extent
   // above which one large sieving read replaces many small reads.
   void read_all(std::span<std::uint8_t> out, double sieve_threshold = 0.35);
@@ -79,14 +108,6 @@ class File {
   void reset_stats() { stats_ = {}; }
 
  private:
-  struct Range {
-    std::uint64_t begin = 0;  // absolute file offset
-    std::uint64_t end = 0;
-    std::uint64_t out_offset = 0;  // position within the caller's out buffer
-  };
-
-  // Coalesced, sorted ranges for the current view.
-  std::vector<Range> view_ranges() const;
   // One logical read: retried per retry_ on TransientIoError; throws IoError
   // once attempts are exhausted. Fault-plan injections happen here.
   void pread_exact(std::uint64_t offset, std::span<std::uint8_t> out);
@@ -97,7 +118,7 @@ class File {
   int fd_ = -1;
   std::uint64_t size_ = 0;
   std::string path_;
-  IndexedBlockView view_;
+  std::shared_ptr<const ViewPlan> plan_;
   IoStats stats_;
   io::RetryPolicy retry_;
 };

@@ -331,13 +331,8 @@ TEST(Insitu, FramesMatchOfflineRenderOfTheSameSolverState) {
       auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
       for (std::size_t i = 0; i < scalar.size(); ++i)
         scalar[i] = q.dequantize(i);
-      std::vector<render::RenderBlock> rblocks;
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-        std::vector<float> vals;
-        for (auto n : index.block_nodes(b)) vals.push_back(scalar[n]);
-        rblocks.back().set_values(std::move(vals));
-      }
+      auto rblocks = render::build_render_blocks(mesh, blocks, index);
+      for (auto& rb : rblocks) rb.gather_values(scalar);
       auto cam = render::Camera::orbit(mesh.domain(), cfg.width, cfg.height,
                                        cfg.orbit_deg_per_step * float(snap));
       img::Image want = render::render_frame(cam, tf, cfg.render, rblocks,

@@ -60,6 +60,16 @@ TEST(DatasetMeta, RejectsBadMagic) {
   EXPECT_THROW(read_meta(dir.str() + "/meta.bin"), std::runtime_error);
 }
 
+// finest < coarsest would size the level table by a negative count.
+TEST(DatasetMeta, RejectsAnInvertedLevelRange) {
+  TempDir dir("qv_ds_inverted");
+  DatasetMeta m;
+  m.coarsest_level = 2;
+  m.finest_level = 1;
+  write_meta(dir.str() + "/meta.bin", m);
+  EXPECT_THROW(read_meta(dir.str() + "/meta.bin"), std::runtime_error);
+}
+
 TEST(DatasetOctree, RoundTrip) {
   TempDir dir("qv_ds_oct");
   auto mesh = small_mesh();
@@ -148,6 +158,16 @@ TEST(Dataset, StepSizeMismatchThrows) {
   DatasetWriter writer(dir.str(), fine, 2, 3, 0.1f);
   std::vector<float> wrong(10);
   EXPECT_THROW(writer.write_step(wrong), std::runtime_error);
+}
+
+// A mesh whose finest level is below the coarsest stored level has no
+// level to store.
+TEST(Dataset, WriterRejectsAMeshCoarserThanTheCoarsestLevel) {
+  TempDir dir("qv_ds_coarse");
+  mesh::HexMesh coarse(mesh::LinearOctree::uniform(kUnit, 1));
+  EXPECT_THROW(DatasetWriter(dir.str(), coarse, 2, 3, 0.1f),
+               std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir.path / "meta.bin"));
 }
 
 // A level the dataset does not store has no entry in level_node_count:

@@ -28,24 +28,17 @@ constexpr const char* kGoldenLit =
 constexpr const char* kGoldenAdaptiveLit =
     "3a05d71d5aae166d9b763cafd4325ff1015f60f8d823f01a0ee07dd9c3a84663";
 
-std::string frame_hash(mesh::LinearOctree tree, bool lighting, int threads) {
-  mesh::HexMesh mesh(std::move(tree));
-  auto blocks = octree::decompose(mesh.octree(), 1);
-  io::BlockNodeIndex index(mesh, blocks);
-  std::vector<RenderBlock> rblocks;
-  for (std::size_t b = 0; b < blocks.size(); ++b)
-    rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-
+// The hash of the frame of `rblocks`, the blocks of `mesh`.
+std::string blocks_hash(const mesh::HexMesh& mesh,
+                        std::span<const octree::Block> blocks,
+                        std::vector<RenderBlock>& rblocks, bool lighting,
+                        int threads) {
   quake::SyntheticQuake q;
   auto positions = mesh.node_positions();
   std::vector<float> values(mesh.node_count());
   for (std::size_t n = 0; n < values.size(); ++n)
     values[n] = q.velocity_at(positions[n], 1.25f).norm();
-  for (std::size_t b = 0; b < rblocks.size(); ++b) {
-    std::vector<float> local;
-    for (auto n : index.block_nodes(b)) local.push_back(values[n]);
-    rblocks[b].set_values(std::move(local));
-  }
+  for (auto& rb : rblocks) rb.gather_values(values);
 
   auto tf = TransferFunction::seismic();
   RenderOptions opt;
@@ -57,6 +50,14 @@ std::string frame_hash(mesh::LinearOctree tree, bool lighting, int threads) {
                                   nullptr, &pool);
   img::Image8 bytes = img::to_8bit(frame);
   return util::Sha256::hex(bytes.data(), bytes.byte_count());
+}
+
+std::string frame_hash(mesh::LinearOctree tree, bool lighting, int threads) {
+  mesh::HexMesh mesh(std::move(tree));
+  auto blocks = octree::decompose(mesh.octree(), 1);
+  io::BlockNodeIndex index(mesh, blocks);
+  std::vector<RenderBlock> rblocks = build_render_blocks(mesh, blocks, index);
+  return blocks_hash(mesh, blocks, rblocks, lighting, threads);
 }
 
 std::string canonical_frame_hash(bool lighting, int threads = 1) {
@@ -105,6 +106,39 @@ TEST(GoldenImage, AdaptiveLitFrame) {
 TEST(GoldenImage, HashIsScheduleInvariant) {
   EXPECT_EQ(canonical_frame_hash(false, 3), kGoldenUnlit);
   EXPECT_EQ(canonical_frame_hash(true, 7), kGoldenLit);
+}
+
+// One NodeRemap serves every build on a mesh: a node list missing one node
+// still throws, each build clears the table however it ends (a second
+// missing node would otherwise find the first attempt's stale entry and
+// pass), and blocks built afterwards with the same table render the
+// canonical frame bit-exactly.
+TEST(RenderBlock, MissingNodeThrowsAndLeavesTheRemapTableClean) {
+  mesh::HexMesh mesh(mesh::LinearOctree::uniform(kUnit, 3));
+  auto blocks = octree::decompose(mesh.octree(), 1);
+  io::BlockNodeIndex index(mesh, blocks);
+  NodeRemap remap(mesh.node_count());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    SCOPED_TRACE(::testing::Message() << "block " << b);
+    const auto nodes = index.block_nodes(b);
+    const std::vector<mesh::NodeId> full(nodes.begin(), nodes.end());
+    (void)RenderBlock(mesh, blocks[b], full, remap);
+    for (std::size_t drop : {std::size_t(0), full.size() / 2, full.size() - 1}) {
+      std::vector<mesh::NodeId> partial = full;
+      partial.erase(partial.begin() + std::ptrdiff_t(drop));
+      EXPECT_THROW(RenderBlock(mesh, blocks[b], partial, remap),
+                   std::runtime_error)
+          << "without node " << full[drop];
+    }
+    std::vector<mesh::NodeId> outside = full;
+    outside.push_back(mesh::NodeId(mesh.node_count()));
+    EXPECT_THROW(RenderBlock(mesh, blocks[b], outside, remap),
+                 std::runtime_error);
+  }
+  std::vector<RenderBlock> after;
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    after.emplace_back(mesh, blocks[b], index.block_nodes(b), remap);
+  EXPECT_EQ(blocks_hash(mesh, blocks, after, false, 1), kGoldenUnlit);
 }
 
 }  // namespace

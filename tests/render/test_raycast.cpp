@@ -23,12 +23,10 @@ struct Scene {
   Scene(int level, int block_level)
       : mesh(mesh::LinearOctree::uniform(kUnit, level)),
         blocks(octree::decompose(mesh.octree(), block_level)),
-        index(mesh, blocks) {
+        index(mesh, blocks),
+        rblocks(build_render_blocks(mesh, blocks, index)) {
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      rblocks.emplace_back(mesh, blocks[b], index.block_nodes(b));
-    }
   }
 
   void fill(const std::function<float(Vec3)>& f) {
@@ -36,11 +34,7 @@ struct Scene {
     std::vector<float> values(mesh.node_count());
     for (std::size_t n = 0; n < values.size(); ++n)
       values[n] = f(positions[n]);
-    for (std::size_t b = 0; b < rblocks.size(); ++b) {
-      std::vector<float> local;
-      for (auto n : index.block_nodes(b)) local.push_back(values[n]);
-      rblocks[b].set_values(std::move(local));
-    }
+    for (auto& rb : rblocks) rb.gather_values(values);
   }
 };
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -356,6 +358,54 @@ TEST_F(TracePipelineTest, PipelineEmitsRoleLanesAndStageSpans) {
   EXPECT_EQ(summary.render_ranks, 2);
   EXPECT_GT(summary.ts_seconds, 0.0);
   EXPECT_GT(summary.suggested_input_procs, 0);
+}
+
+// The first frame's set-up after the start barrier has its own category,
+// which no pipeline analysis reads: one setup/input_plan span per input
+// rank and one setup/render_blocks span per renderer, each closed before
+// its rank's first pipeline stage opens.
+TEST_F(TracePipelineTest, SetupSpansPrecedeEachRanksFirstStage) {
+  TraceStateGuard guard;
+  for (auto strategy :
+       {core::IoStrategy::kOneDip, core::IoStrategy::kTwoDipCollective,
+        core::IoStrategy::kTwoDipIndependent}) {
+    SCOPED_TRACE(::testing::Message() << "strategy " << int(strategy));
+    auto cfg = base_config();
+    cfg.strategy = strategy;
+    enable();
+    run_pipeline(cfg);
+    disable();
+    int inputs = 0, renderers = 0;
+    for (const auto& t : collect()) {
+      const char* want = nullptr;
+      if (t.name.rfind("input", 0) == 0) want = "input_plan";
+      if (t.name.rfind("render", 0) == 0 &&
+          t.name.find('.') == std::string::npos)  // not a worker lane
+        want = "render_blocks";
+      std::size_t setups = 0;
+      std::int64_t setup_end = 0, first_stage = INT64_MAX;
+      for (const auto& e : t.events) {
+        if (e.kind != EventKind::kSpan) continue;
+        if (std::strcmp(e.cat, "setup") == 0) {
+          EXPECT_TRUE(want && std::strcmp(e.name, want) == 0)
+              << t.name << ": setup/" << e.name;
+          ++setups;
+          setup_end = e.ts_ns + e.dur_ns;
+        } else if (std::strcmp(e.cat, "pipeline") == 0) {
+          first_stage = std::min(first_stage, e.ts_ns);
+        }
+      }
+      if (!want) {
+        EXPECT_EQ(setups, 0u) << t.name;
+        continue;
+      }
+      (want[0] == 'i' ? inputs : renderers) += 1;
+      EXPECT_EQ(setups, 1u) << t.name;
+      EXPECT_LE(setup_end, first_stage) << t.name;
+    }
+    EXPECT_EQ(inputs, cfg.total_input_procs());
+    EXPECT_EQ(renderers, cfg.render_procs);
+  }
 }
 
 // Report, trace, histograms and lineage come from one pair of clock reads

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -133,9 +134,37 @@ TEST(CollectivesFuzz, AllreduceMatchesScalarReference) {
   }
 }
 
-// Indexed-block collective reads: random sorted unique block offsets per
-// rank, random block widths and sieve thresholds, checked against the
-// closed-form file contents (element i holds i as a little-endian uint32).
+// A rank's block starts for one round: sorted unique, spaced so blocks never
+// cross EOF; then, by a per-rank draw, kept so, shuffled, or shuffled with
+// duplicated and unaligned (partly overlapping) starts added. A view plan
+// sorts what needs it; read_all relies on its order.
+std::vector<std::uint64_t> block_starts(Rng& rng, std::size_t n_elems,
+                                        std::size_t block_elems) {
+  std::set<std::uint64_t> starts;
+  std::size_t nblocks = 1 + rng.next_below(40);
+  std::uint64_t limit = (n_elems / block_elems);
+  for (std::size_t i = 0; i < nblocks; ++i)
+    starts.insert(rng.next_below(limit) * block_elems);
+  std::vector<std::uint64_t> offs(starts.begin(), starts.end());
+  const std::uint64_t layout = rng.next_below(3);
+  if (layout == 2) {
+    for (std::size_t i = 0, n = offs.size(); i < n; ++i) {
+      if (rng.next_below(3) == 0) offs.push_back(offs[i]);
+      if (rng.next_below(3) == 0)
+        offs.push_back(rng.next_below(n_elems - block_elems + 1));
+    }
+  }
+  if (layout != 0) {
+    for (std::size_t i = offs.size(); i > 1; --i)
+      std::swap(offs[i - 1], offs[rng.next_below(i)]);
+  }
+  return offs;
+}
+
+// Indexed-block collective reads: random block offsets per rank (sorted,
+// unsorted, duplicated, overlapping), random block widths and sieve
+// thresholds, checked against the closed-form file contents (element i
+// holds i as a little-endian uint32).
 TEST(CollectivesFuzz, IndexedBlockReadAllMatchesDirectRead) {
   const std::uint64_t base = base_seed();
   const std::size_t n_elems = 4096;
@@ -162,18 +191,11 @@ TEST(CollectivesFuzz, IndexedBlockReadAllMatchesDirectRead) {
     const double sieve = meta.next_double();  // exercise both strategies
 
     Runtime::run(nranks, [&](Comm& comm) {
-      // Sorted unique block starts, spaced so blocks never cross EOF.
       Rng rng(seed ^ (0xf11e0000u + std::uint64_t(comm.rank())));
-      std::set<std::uint64_t> starts;
-      std::size_t nblocks = 1 + rng.next_below(40);
-      std::uint64_t limit = (n_elems / block_elems);
-      for (std::size_t i = 0; i < nblocks; ++i)
-        starts.insert(rng.next_below(limit) * block_elems);
-
       IndexedBlockView view;
       view.elem_bytes = sizeof(std::uint32_t);
       view.block_elems = block_elems;
-      view.block_offsets.assign(starts.begin(), starts.end());
+      view.block_offsets = block_starts(rng, n_elems, block_elems);
 
       File f(comm, path);
       f.set_view(view);
@@ -192,6 +214,67 @@ TEST(CollectivesFuzz, IndexedBlockReadAllMatchesDirectRead) {
     });
   }
   std::remove(path.c_str());
+}
+
+// One plan, made once per rank, shared by the Files of several step files
+// and read twice from each: every read must give the bytes a direct
+// read_at of each block gives.
+TEST(CollectivesFuzz, SharedViewPlanReadsEveryFileAlike) {
+  const std::uint64_t base = base_seed();
+  const std::size_t n_elems = 4096;
+  const int kFiles = 3;
+  std::vector<std::string> paths;
+  for (int f = 0; f < kFiles; ++f) {
+    paths.push_back((std::filesystem::temp_directory_path() /
+                     ("qv_fuzz_plan" + std::to_string(f) + ".bin." +
+                      std::to_string(::getpid())))
+                        .string());
+    std::ofstream os(paths.back(), std::ios::binary);
+    for (std::uint32_t i = 0; i < n_elems; ++i) {
+      const std::uint32_t v = i * 2654435761u + std::uint32_t(f);
+      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    }
+  }
+
+  for (int round = 0; round < 6; ++round) {
+    std::uint64_t state = base * 0xd1342543de82ef95ULL + std::uint64_t(round);
+    std::uint64_t seed = splitmix64(state);
+    SCOPED_TRACE(::testing::Message()
+                 << "round " << round << " seed " << seed
+                 << " (QV_FUZZ_SEED=" << base << ")");
+    Rng meta(seed);
+    const int nranks = 1 + int(meta.next_below(6));
+    const std::size_t block_elems = 1 + meta.next_below(7);
+    const double sieve = meta.next_double();
+
+    Runtime::run(nranks, [&](Comm& comm) {
+      Rng rng(seed ^ (0x91a40000u + std::uint64_t(comm.rank())));
+      IndexedBlockView view;
+      view.elem_bytes = sizeof(std::uint32_t);
+      view.block_elems = block_elems;
+      view.block_offsets = block_starts(rng, n_elems, block_elems);
+      const auto plan = std::make_shared<const ViewPlan>(view);
+      ASSERT_EQ(plan->total_bytes(), view.total_bytes());
+      ASSERT_LE(plan->range_count(), view.block_offsets.size());
+
+      for (int f = 0; f < kFiles; ++f) {
+        File file(comm, paths[std::size_t(f)]);
+        file.set_view(plan);
+        std::vector<std::uint8_t> want(view.total_bytes());
+        for (std::size_t b = 0; b < view.block_offsets.size(); ++b)
+          file.read_at(view.block_offsets[b] * view.elem_bytes,
+                       {want.data() + b * view.block_bytes(),
+                        view.block_bytes()});
+        for (int read = 0; read < 2; ++read) {
+          std::vector<std::uint8_t> got(view.total_bytes());
+          file.read_all(got, sieve);
+          ASSERT_EQ(got, want) << "rank " << comm.rank() << " file " << f
+                               << " read " << read;
+        }
+      }
+    });
+  }
+  for (const auto& p : paths) std::remove(p.c_str());
 }
 
 }  // namespace

@@ -138,6 +138,24 @@ TEST(File, CollectiveReadNothingAnywhere) {
   std::remove(path.c_str());
 }
 
+// A plan coalesces blocks adjacent in both the file and the buffer, so a
+// view whose sorted blocks tile one span is one range however many blocks
+// it has; out-of-order or repeated blocks split it.
+TEST(File, ViewPlanCoalescesAdjacentBlocks) {
+  const auto ranges = [](std::vector<std::uint64_t> offs) {
+    return ViewPlan(IndexedBlockView{4, 2, std::move(offs)}).range_count();
+  };
+  std::vector<std::uint64_t> tiled;
+  for (std::uint64_t b = 0; b < 1000; ++b) tiled.push_back(10 + 2 * b);
+  EXPECT_EQ(ranges(tiled), 1u);
+  EXPECT_EQ(ranges({6, 0, 2, 4}), 2u);  // [0, 6) then [6, 8)
+  EXPECT_EQ(ranges({0, 0}), 2u);
+  EXPECT_EQ(ranges({0, 4}), 2u);
+  EXPECT_EQ(ranges({}), 0u);
+  EXPECT_EQ(ViewPlan(IndexedBlockView{4, 2, tiled}).total_bytes(),
+            tiled.size() * 8);
+}
+
 class SieveTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SieveTest, ResultsIdenticalAcrossSieveThresholds) {

@@ -6,8 +6,9 @@
 # produce passing e2e-latency verdicts and flight-recorder dumps the
 # validator accepts), a ThreadSanitizer pass over the message-passing
 # runtime and the parallel renderer, a determinism/fuzz stage run under two
-# seeds, the same fuzz walls plus the pipeline, record-file and mesh
-# location suites under AddressSanitizer + UBSan, and the benchmark gate.
+# seeds, the same fuzz walls plus the pipeline, record-file, mesh location
+# and dense-table (block node lists, render-block remap, view plans) suites
+# under AddressSanitizer + UBSan, and the benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
 #                     --server-chaos-only|slo-gate|--steer-smoke-only|
 #                     --tsan-only|--determinism-only|--asan-only|
@@ -46,10 +47,10 @@ events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "trace must be a non-empty array"
 cats = {e.get("cat") for e in events}
 names = {e.get("name") for e in events}
-for cat in ("pipeline", "io", "render", "compositing"):
+for cat in ("pipeline", "setup", "io", "render", "compositing"):
     assert cat in cats, f"missing category {cat!r} (have {sorted(c for c in cats if c)})"
 for name in ("fetch", "send_blocks", "wait_blocks", "render", "composite",
-             "frame", "thread_name"):
+             "frame", "input_plan", "render_blocks", "thread_name"):
     assert name in names, f"missing span {name!r}"
 assert any(e.get("ph") == "M" for e in events), "missing thread metadata"
 print(f"trace smoke: {len(events)} events, categories {sorted(c for c in cats if c)}")
@@ -139,6 +140,8 @@ EOF
                 --out="$work/one.ppm" --width=96 --height=72 --vmax=3)
   local insitu=(./build/tools/quakeviz insitu --snapshots=2 --renderers=2
                 --width=96 --height=72)
+  local gen=(./build/tools/quakeviz generate --out="$work/gen" --mode=synthetic
+             --steps=2 --max-level=3)
   must_reject render-threads "${pipe[@]}" --render-threads=abc
   must_reject render-threads "${pipe[@]}" --render-threads=0
   must_reject render-threads "${insitu[@]}" --render-threads=0
@@ -172,6 +175,10 @@ EOF
   must_reject steps "${serve_run[@]}" --steps=0
   must_reject steps "${serve_run[@]}" --steer --steps=-3
   must_reject steer-edits "${serve_run[@]}" --steer --steer-edits=-2
+  must_reject steps "${gen[@]}" --steps=0
+  must_reject max-level "${gen[@]}" --max-level=1
+  must_reject freq "${gen[@]}" --freq=0
+  must_reject interval "${gen[@]}" --interval=-1
   echo "stream smoke: malformed and out-of-range flags rejected by name"
 }
 
@@ -363,7 +370,7 @@ determinism() {
 }
 
 asan() {
-  echo "== asan: fuzz walls + pipeline and mesh suites under AddressSanitizer + UBSan =="
+  echo "== asan: fuzz walls + pipeline, mesh and dense-table suites under AddressSanitizer + UBSan =="
   cmake -B build-asan -S . -DQV_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-asan -j "$JOBS" --target "${FUZZ_TARGETS[@]}" \
@@ -384,6 +391,14 @@ asan() {
   # Key order and point location: leaf_holds reads the leaf after the one
   # it tests, up to the last leaf of the tree.
   ./build-asan/tests/test_mesh --gtest_filter='OctKey.*:LinearOctree.*:HexMesh.*'
+  # The linear set-up builds index dense tables by node id or range index:
+  # the block node lists' stamps, the merge bitmap, the 2DIP positions and
+  # the forward maps, the render blocks' remap table (with its clean-up
+  # after a throw), and the collective reads' view plans.
+  ./build-asan/tests/test_io \
+      --gtest_filter='BlockNodeIndex.*:MergedNodes.*:ForwardMap.*'
+  ./build-asan/tests/test_render --gtest_filter='RenderBlock.*'
+  ./build-asan/tests/test_vmpi --gtest_filter='File.*'
 }
 
 # The tracked benches and where their committed baselines live.

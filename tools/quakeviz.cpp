@@ -544,21 +544,25 @@ int cmd_generate(const Args& args) {
   args.allow_only("generate",
                   {"out", "mode", "steps", "max-level", "freq", "interval"});
   std::string out = args.require("out");
+  // The dataset stores levels kCoarsest..max-level, so max-level below it
+  // would write an empty level range.
+  constexpr int kCoarsest = 2;
+  const float freq = float(positive_real(args, "freq", 0.5));
+  const int max_level = int_at_least(args, "max-level", 4, kCoarsest);
+  const int steps = positive_int(args, "steps", 8);
+  const double interval = positive_real(args, "interval", 0.5);
   std::filesystem::create_directories(out);
   const Box3 domain{{0, 0, 0}, {2000, 2000, 2000}};
   auto basin = default_basin(domain);
-  float freq = float(args.real("freq", 0.5));
-  int max_level = args.num("max-level", 4);
-  int steps = args.num("steps", 8);
 
   auto tree = mesh::LinearOctree::build(domain, basin.size_field(freq, 4.0f),
-                                        2, max_level);
+                                        kCoarsest, max_level);
   mesh::HexMesh mesh(std::move(tree));
   std::printf("mesh: %zu cells, %zu nodes (levels %d..%d)\n",
               mesh.cell_count(), mesh.node_count(),
               mesh.octree().min_leaf_level(), mesh.octree().max_leaf_level());
 
-  io::DatasetWriter writer(out, mesh, 2, 3, 0.5f);
+  io::DatasetWriter writer(out, mesh, kCoarsest, 3, 0.5f);
   if (args.str("mode", "solver") == "synthetic") {
     quake::SyntheticQuake q;
     q.hypocenter = {0.5f, 0.5f, 0.35f};
@@ -580,7 +584,6 @@ int cmd_generate(const Args& args) {
     source.delay_s = 1.2f / freq;
     source.amplitude = 5e12f;
     solver.add_source(source);
-    double interval = args.real("interval", 0.5);
     double next = interval;
     int written = 0;
     while (written < steps) {
